@@ -1,6 +1,6 @@
 package repro.clustering
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{TextSim, Values}
 import repro.kb.KnowledgeBase
@@ -19,6 +19,17 @@ case class RowProfile(rowKey: Long, tableId: Long, cls: String,
                       valueCols: Map[String, Long],
                       implicitAtts: Map[String, Double])
 
+/** The part of a row profile that does not depend on the schema mapping,
+  * plus the row's raw `(colId, raw)` cells from which each mapping derives
+  * `values` / `valueCols`.
+  */
+case class RowBase(rowKey: Long, tableId: Long, cls: String,
+                   label: String, normLabel: String,
+                   tokens: Seq[String],
+                   phi: Map[Long, Double],
+                   implicitAtts: Map[String, Double],
+                   cells: Seq[(Int, String)])
+
 object RowProfiles {
   /** Separator inside implicit-attribute keys. */
   val Sep = "|"
@@ -29,20 +40,19 @@ object RowProfiles {
   /** Cap per-table PHI vector size. */
   val phiCap = 40
 
-  /** Build profiles for all rows of the given class.
+  /** The mapping-independent profiles of all rows of the given class,
+    * localCheckpointed (the cached table-label pairs of PHI are released
+    * once the checkpoint holds them).
     *
-    * @param attrCorr  colKey -> matched property (this iteration's mapping)
     * @param rowCands  candidates from TableClassMatcher (tableId,rowId,uri,cls,labelSim)
     */
-  def build(spark: SparkSession, cls: String, cells: DataFrame, labelCols: DataFrame,
-            classTables: DataFrame, attrCorr: Map[Long, String],
-            rowCands: DataFrame, kb: KnowledgeBase): org.apache.spark.sql.Dataset[RowProfile] = {
+  def base(spark: SparkSession, cls: String, cells: DataFrame, labelCols: DataFrame,
+           classTables: DataFrame, rowCands: DataFrame, kb: KnowledgeBase): Dataset[RowBase] = {
     import spark.implicits._
 
     val clsCells = cells.join(classTables.select($"tableId"), "tableId")
 
-    // ---- core: label, tokens, property values per row ---------------------
-    val attrCorrB = spark.sparkContext.broadcast(attrCorr)
+    // ---- core: label, tokens and raw cells per row -------------------------
     val labelColB = spark.sparkContext.broadcast(
       labelCols.collect().map(r => r.getLong(0) -> r.getInt(1)).toMap)
     val core = clsCells
@@ -53,15 +63,8 @@ object RowProfiles {
         val labelCol = labelColB.value.getOrElse(tableId, 0)
         val label = cs.find(_._1 == labelCol).map(_._2).getOrElse("")
         val tokens = cs.flatMap(c => TextSim.tokenize(c._2)).distinct.sorted
-        val mapped = cs.flatMap { case (colId, raw) =>
-          attrCorrB.value.get(Keys.colKey(tableId, colId))
-            .map(prop => (prop, raw, Keys.colKey(tableId, colId)))
-        }
-        val values = mapped.map(m => m._1 -> m._2).toMap
-        val valueCols = mapped.map(m => m._1 -> m._3).toMap
-        (Keys.rowKey(tableId, rowId), tableId, label, Values.normalize(label),
-         tokens, values, valueCols)
-      }.toDF("rowKey", "tableId", "label", "normLabel", "tokens", "values", "valueCols")
+        (Keys.rowKey(tableId, rowId), tableId, label, Values.normalize(label), tokens, cs)
+      }.toDF("rowKey", "tableId", "label", "normLabel", "tokens", "cells")
 
     // ---- PHI: label correlation vectors, averaged per table ---------------
     val labelIds = core.select($"normLabel").distinct()
@@ -120,14 +123,37 @@ object RowProfiles {
       .groupBy($"tableId")
       .agg(map_from_entries(collect_list(struct($"combo", $"score"))) as "implicitAtts")
 
-    core
+    val rowBase = core
       .join(tablePhi, Seq("tableId"), "left")
       .join(tableImplicit, Seq("tableId"), "left")
       .select($"rowKey", $"tableId", lit(cls) as "cls", $"label", $"normLabel",
               $"tokens",
               coalesce($"phi", typedLit(Map.empty[Long, Double])) as "phi",
-              $"values", $"valueCols",
-              coalesce($"implicitAtts", typedLit(Map.empty[String, Double])) as "implicitAtts")
-      .as[RowProfile]
+              coalesce($"implicitAtts", typedLit(Map.empty[String, Double])) as "implicitAtts",
+              $"cells")
+      .as[RowBase]
+      .localCheckpoint()
+    tl.unpersist()
+    rowBase
+  }
+
+  /** Profiles under one schema mapping: a narrow map over the base that
+    * keeps the cells of mapped columns as `values` / `valueCols`.
+    *
+    * @param attrCorr  colKey -> matched property (this iteration's mapping)
+    */
+  def withValues(spark: SparkSession, base: Dataset[RowBase],
+                 attrCorr: Map[Long, String]): Dataset[RowProfile] = {
+    import spark.implicits._
+    val attrCorrB = spark.sparkContext.broadcast(attrCorr)
+    base.map { b =>
+      val mapped = b.cells.flatMap { case (colId, raw) =>
+        val ck = Keys.colKey(b.tableId, colId)
+        attrCorrB.value.get(ck).map(prop => (prop, raw, ck))
+      }
+      RowProfile(b.rowKey, b.tableId, b.cls, b.label, b.normLabel, b.tokens, b.phi,
+                 mapped.map(m => m._1 -> m._2).toMap, mapped.map(m => m._1 -> m._3).toMap,
+                 b.implicitAtts)
+    }
   }
 }

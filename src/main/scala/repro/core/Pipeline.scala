@@ -49,22 +49,59 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
       .map(r => Keys.colKey(r.getLong(0), r.getInt(1)) -> (r.getString(3), r.getDouble(4)))
       .toMap
 
+  private val baseCache = scala.collection.mutable.Map.empty[String, Dataset[RowBase]]
+  /** Mapping-independent row profiles of a class (labels, tokens, PHI,
+    * implicit attributes, raw cells). Built once: the iterations differ only
+    * in the schema mapping.
+    */
+  private def profileBase(cls: String): Dataset[RowBase] =
+    baseCache.getOrElseUpdate(cls,
+      RowProfiles.base(spark, cls, cells, labelCols, classTables(cls), rowCands, kb))
+
   /** Row profiles for one class under a given attribute mapping. */
   def profiles(cls: String, attrCorr: Map[Long, String]): Dataset[RowProfile] =
-    RowProfiles.build(spark, cls, cells, labelCols, classTables(cls), attrCorr,
-                      rowCands, kb).localCheckpoint()
+    RowProfiles.withValues(spark, profileBase(cls), attrCorr).localCheckpoint()
 
-  /** Blocking, pair features, components for one class's profiles. */
+  /** A class's label blocking: candidate pairs and block-connected
+    * components (rowKey -> root; its key set is the class's rows).
+    */
+  private case class ClassBlocking(pairs: DataFrame, comps: Map[Long, Long])
+  private val blockingCache = scala.collection.mutable.Map.empty[String, ClassBlocking]
+  /** Blocking reads only rowKey and normLabel, so it is built once per class
+    * from the profile base.
+    */
+  private def blocking(cls: String): ClassBlocking =
+    blockingCache.getOrElseUpdate(cls, {
+      val base = profileBase(cls).toDF()
+      val blocks = Blocking.rowBlocks(spark, base).localCheckpoint()
+      val pairs = Blocking.candidatePairs(spark, blocks).localCheckpoint()
+      val blockSeq = blocks.collect().map(r => (r.getLong(0), r.getString(1))).toSeq
+      val allRows = base.select($"rowKey").as[Long].collect().toSeq
+      ClassBlocking(pairs, Blocking.components(blockSeq, allRows))
+    })
+
+  /** Pair features and components for one class's profiles. The profiles
+    * must be all rows of one class (under any mapping): blocking is
+    * memoized per class and only the pair features are computed here.
+    */
   def pairStage(profilesDS: Dataset[RowProfile]):
       (Dataset[PairFeature], Map[Long, Long]) = {
-    val profDF = profilesDS.toDF()
-    val blocks = Blocking.rowBlocks(spark, profDF).localCheckpoint()
-    val pairs = Blocking.candidatePairs(spark, blocks)
+    val rows = profilesDS.select($"rowKey", $"cls").as[(Long, String)].collect()
+    val (pairs, comps) = rows.map(_._2).distinct match {
+      case Array() => (Seq.empty[(Long, Long)].toDF("a", "b"), Map.empty[Long, Long])
+      case Array(cls) =>
+        val b = blocking(cls)
+        val keys = rows.map(_._1)
+        require(keys.length == b.comps.size && keys.toSet == b.comps.keySet,
+          s"pairStage needs all ${b.comps.size} rows of class $cls, each once; " +
+          s"got ${keys.length} rows, ${keys.distinct.length} distinct")
+        (b.pairs, b.comps)
+      case classes =>
+        throw new IllegalArgumentException(
+          s"pairStage needs the rows of one class, got ${classes.sorted.mkString(", ")}")
+    }
     val schema = kb.schemaByClass.values.flatten.toMap
     val feats = PairFeatures.compute(spark, profilesDS, pairs, schema).localCheckpoint()
-    val blockSeq = blocks.collect().map(r => (r.getLong(0), r.getString(1))).toSeq
-    val allRows = profDF.select($"rowKey").as[Long].collect().toSeq
-    val comps = Blocking.components(blockSeq, allRows)
     (feats, comps)
   }
 
@@ -217,7 +254,7 @@ object PipelineRunner {
                     models: ClassModels, scoring: FusionScoring = Voting): Iter1 = {
     import pipe.spark.implicits._
     val corr1 = pipe.attrCorrespondences(pipe.attrFeatures1, attrModel1)
-    val prof1 = pipe.profiles(cls, corr1.map { case (k, v) => k -> v._1 }).cache()
+    val prof1 = pipe.profiles(cls, corr1.map { case (k, v) => k -> v._1 })
     val (pf1, comps1) = pipe.pairStage(prof1)
     val clusters1 = pipe.cluster(pf1, comps1,
       models.clusterAgg, RowSimilarity.featureIndices(models.clusterMetrics))
@@ -245,7 +282,7 @@ object PipelineRunner {
     import pipe.spark.implicits._
     val feats2 = pipe.attrFeatures(Some(prior))
     val corr2 = pipe.attrCorrespondences(feats2, attrModel2)
-    val prof2 = pipe.profiles(cls, corr2.map { case (k, v) => k -> v._1 }).cache()
+    val prof2 = pipe.profiles(cls, corr2.map { case (k, v) => k -> v._1 })
     val (pf2, comps2) = pipe.pairStage(prof2)
     val clusters2 = pipe.cluster(pf2, comps2,
       models.clusterAgg, RowSimilarity.featureIndices(models.clusterMetrics))

@@ -41,13 +41,24 @@ object Values {
   private val months = Seq("jan", "feb", "mar", "apr", "may", "jun",
                            "jul", "aug", "sep", "oct", "nov", "dec")
 
-  /** Lowercase, trim, collapse whitespace, strip surrounding punctuation. */
+  private val spaceRun = """[\u00A0\s]+""".r
+  private val leadingPunct = "\"'`(["
+  private val trailingPunct = "\"'`)],."
+
+  /** Lowercase, collapse whitespace, then strip surrounding whitespace,
+    * control characters and punctuation in one pass, so that nothing
+    * strippable is left at either end (normalize is idempotent).
+    */
   def normalize(raw: String): String =
     if (raw == null) ""
-    else raw.toLowerCase.trim
-      .replaceAll("""[ ]""", " ")
-      .replaceAll("""\s+""", " ")
-      .replaceAll("""^["'`\(\[]+|["'`\)\],\.]+$""", "")
+    else {
+      val s = spaceRun.replaceAllIn(raw.toLowerCase, " ")
+      var i = 0
+      var j = s.length
+      while (i < j && (s.charAt(i) <= ' ' || leadingPunct.indexOf(s.charAt(i)) >= 0)) i += 1
+      while (j > i && (s.charAt(j - 1) <= ' ' || trailingPunct.indexOf(s.charAt(j - 1)) >= 0)) j -= 1
+      s.substring(i, j)
+    }
 
   /** True when the string parses as a date under any accepted pattern. */
   def isDate(raw: String): Boolean = parseDate(raw).isDefined

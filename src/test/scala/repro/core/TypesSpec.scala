@@ -18,6 +18,13 @@ class TypesSpec extends AnyFunSuite {
   test("normalize of null is empty") {
     assert(Values.normalize(null) == "")
   }
+  test("normalize strips whitespace and control characters exposed by punctuation") {
+    val cases = Seq("a )" -> "a", "( a" -> "a", "-\u0000)" -> "-")
+    cases.foreach { case (raw, expected) =>
+      assert(Values.normalize(raw) == expected, s"normalize(${raw.map(_.toInt)})")
+      assert(Values.normalize(expected) == expected)
+    }
+  }
 
   // ---- date parsing --------------------------------------------------------
   test("parseDate handles ISO dates") {
