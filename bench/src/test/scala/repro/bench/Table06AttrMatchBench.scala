@@ -4,7 +4,6 @@ import repro.SparkSpec
 import repro.core.PipelineRunner
 import repro.eval.Experiment
 import repro.matching.{AttributeMatcher, Keys, PriorOutputs}
-import repro.newdetect.DetectedExisting
 
 /** Paper Table 6: attribute-to-property matching P/R/F1 by pipeline
   * iteration. Iteration 1 uses only KB-Overlap and KB-Label; iterations 2
@@ -22,6 +21,11 @@ class Table06AttrMatchBench extends SparkSpec {
     AttributeMatcher.evaluate(predicted, ctx.goldAttrMap, testTables)
   }
 
+  /** One prior over all classes from the per-class runs' priors. */
+  private def merged(ps: Seq[PriorOutputs]): PriorOutputs =
+    PriorOutputs(ps.map(_.prelimAttr).reduce(_ ++ _), ps.map(_.rowCluster).reduce(_ ++ _),
+                 ps.map(_.rowInstance).reduce(_ ++ _))
+
   test("Table 6: attribute matching performance by iteration") {
     val ctx = BenchWorld.ctx
     val goldTables = ctx.gold.tableIds.toSeq.sorted
@@ -34,30 +38,14 @@ class Table06AttrMatchBench extends SparkSpec {
     // iteration 2 prior: per-class iteration-1 runs with all-gold models
     val it1s = BenchWorld.classes.map { cls =>
       val all = ctx.goldClustersOf(cls).map(_.entityId).toSet
-      val models = Experiment.learnFold(ctx, cls, all)
-      cls -> PipelineRunner.runIteration1(ctx.pipe, cls, ctx.attrModel1, models)
+      PipelineRunner.runIteration(ctx.pipe, cls, ctx.corr1, Experiment.learnFold(ctx, cls, all))
     }
-    val prior1 = PriorOutputs(
-      prelimAttr = ctx.corr1.map { case (k, v) => k -> v._1 },
-      rowCluster = it1s.map(_._2.clusters).reduce(_ ++ _),
-      rowInstance = it1s.map(_._2.prior.rowInstance).reduce(_ ++ _))
-    val feats2 = ctx.pipe.attrFeatures(Some(prior1))
+    val feats2 = ctx.pipe.attrFeatures(Some(merged(it1s.map(_.prior))))
     val r2 = evalModel(ctx, feats2, learnTables, testTables)
 
     // iteration 3 prior: full two-iteration runs (Tables 11/12 reuse these)
     val runs2 = BenchWorld.classes.map(cls => BenchWorld.fullRunAllGold(cls))
-    val prior2 = PriorOutputs(
-      prelimAttr = runs2.map(_.attrCorr.map { case (k, v) => k -> v._1 }).reduce(_ ++ _),
-      rowCluster = runs2.map(_.clusters).reduce(_ ++ _),
-      rowInstance = runs2.flatMap { run =>
-        run.entities.flatMap { e =>
-          run.detections.get(e.entityKey) match {
-            case Some(DetectedExisting(uri, _)) => e.rowKeys.map(_ -> uri)
-            case _ => Nil
-          }
-        }
-      }.toMap)
-    val feats3 = ctx.pipe.attrFeatures(Some(prior2))
+    val feats3 = ctx.pipe.attrFeatures(Some(merged(runs2.map(_.prior))))
     val r3 = evalModel(ctx, feats3, learnTables, testTables)
 
     val paper = Map(1 -> (0.929, 0.608, 0.735), 2 -> (0.924, 0.916, 0.920), 3 -> (0.929, 0.916, 0.922))

@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Metrics
-import repro.matching.Keys
+import repro.eval.Experiment
 
 /** Paper Table 11: large-scale profiling — run the full system on every
   * table matched to a class and judge the returned entities against the
@@ -13,12 +12,6 @@ class Table11LargeScaleBench extends SparkSpec {
 
   test("Table 11: large-scale run per class") {
     val ctx = BenchWorld.ctx
-    val rowTruthEntity = ctx.corpus.rowTruth
-      .map(rt => Keys.rowKey(rt.tableId, rt.rowId) -> rt.entityId).toMap
-    val predicted = ctx.pipe.tableClass.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
-    val rowsPerTable = ctx.corpus.cells.groupBy(_.tableId)
-      .map { case (t, cs) => t -> cs.map(_.rowId).distinct.size.toLong }
-
     val kbCounts = BenchWorld.classes.map { cls =>
       val insts = ctx.kb.instancesSeq.count(_.cls == cls)
       val facts = ctx.kb.factsSeq.count(f => ctx.kb.instanceByUri(f.uri).cls == cls)
@@ -31,11 +24,7 @@ class Table11LargeScaleBench extends SparkSpec {
       "Settlement" -> Seq("1472865", "28628", "27365", "1.05", "5764 (+1%)", "7043 (+0%)", "0.26", "0.94"))
 
     val measured = BenchWorld.classes.map { cls =>
-      val run = BenchWorld.fullRunAllGold(cls)
-      val totalRows = predicted.filter(_._2 == cls).keys.toSeq.map(t => rowsPerTable.getOrElse(t, 0L)).sum
-      val ls = Metrics.largeScale(run.entities, run.detections, rowTruthEntity,
-        ctx.world, totalRows, ctx.schema)
-      (cls, ls)
+      (cls, Experiment.largeScale(ctx, BenchWorld.fullRunAllGold(cls)))
     }
 
     BenchFmt.print("Paper Table 11 — large-scale profiling",

@@ -2,7 +2,7 @@ package jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.eval.Experiment
-import repro.world.{CorpusConfig, Schemas, WorldConfig}
+import repro.world.Schemas
 
 /** spark-submit entrypoint: data profiles (paper Tables 1-5) for the
   * synthetic KB, corpus and gold standard.
@@ -13,8 +13,7 @@ object ProfileData {
     val scale = args.headOption.getOrElse("test")
     val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("profile-data").getOrCreate()
-    val (w, c) = if (scale == "bench") (WorldConfig.bench(), CorpusConfig.bench())
-                 else (WorldConfig.test(), CorpusConfig.test())
+    val (w, c) = Experiment.scaleConfigs(scale)
     val ctx = Experiment.build(spark, w, c)
 
     println("[Table 1] instances and facts per class")

@@ -2,7 +2,7 @@ package jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.eval.{Experiment, Metrics}
-import repro.world.{CorpusConfig, Schemas, WorldConfig}
+import repro.world.Schemas
 
 /** spark-submit entrypoint: full gold-standard evaluation (paper Tables
   * 9/10) for one class. Usage:
@@ -15,8 +15,7 @@ object RunGoldEvaluation {
     val scale = args.lift(1).getOrElse("test")
     val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"gold-eval-$cls").getOrCreate()
-    val (w, c) = if (scale == "bench") (WorldConfig.bench(), CorpusConfig.bench())
-                 else (WorldConfig.test(), CorpusConfig.test())
+    val (w, c) = Experiment.scaleConfigs(scale)
     val ctx = Experiment.build(spark, w, c)
     val all = ctx.goldClustersOf(cls).map(_.entityId).toSet
     val folds = ctx.folds

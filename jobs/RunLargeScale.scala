@@ -2,8 +2,7 @@ package jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.eval.{Experiment, Metrics}
-import repro.matching.Keys
-import repro.world.{CorpusConfig, Schemas, WorldConfig}
+import repro.world.Schemas
 
 /** spark-submit entrypoint: large-scale profiling run (paper Tables 11/12)
   * over the whole synthetic corpus. Usage:
@@ -15,21 +14,13 @@ object RunLargeScale {
     val scale = args.lift(1).getOrElse("bench")
     val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"large-scale-$cls").getOrCreate()
-    val (w, c) = if (scale == "bench") (WorldConfig.bench(), CorpusConfig.bench())
-                 else (WorldConfig.test(), CorpusConfig.test())
+    val (w, c) = Experiment.scaleConfigs(scale)
     val ctx = Experiment.build(spark, w, c)
     val all = ctx.goldClustersOf(cls).map(_.entityId).toSet
     val models = Experiment.learnFold(ctx, cls, all)
     val run = Experiment.fullRun(ctx, cls, models)
 
-    val rowTruthEntity = ctx.corpus.rowTruth
-      .map(rt => Keys.rowKey(rt.tableId, rt.rowId) -> rt.entityId).toMap
-    val predicted = ctx.pipe.tableClass.collect().map(r => r.getLong(0) -> r.getString(1)).toMap
-    val rowsPerTable = ctx.corpus.cells.groupBy(_.tableId)
-      .map { case (t, cs) => t -> cs.map(_.rowId).distinct.size.toLong }
-    val totalRows = predicted.filter(_._2 == cls).keys.toSeq.map(t => rowsPerTable.getOrElse(t, 0L)).sum
-    val ls = Metrics.largeScale(run.entities, run.detections, rowTruthEntity,
-      ctx.world, totalRows, ctx.schema)
+    val ls = Experiment.largeScale(ctx, run)
     println(s"[Table 11] $cls rows=${ls.totalRows} existing=${ls.existingEntities} " +
             s"matchedKB=${ls.matchedInstances} ratio=${ls.matchingRatio} " +
             s"new=${ls.newEntities} newFacts=${ls.newFacts} " +

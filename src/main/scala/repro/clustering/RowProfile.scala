@@ -103,14 +103,13 @@ object RowProfiles {
       .select($"tableId", avgVecs($"vecs", $"nLabels") as "phi")
 
     // ---- implicit attributes per table ------------------------------------
-    val factsByUriB = spark.sparkContext.broadcast(
-      kb.factsSeq.groupBy(_.uri).map { case (u, fs) => u -> fs.map(f => (f.property, f.value)) })
+    val factIndexB = kb.factIndexB
     val rowCombos = rowCands
       .join(classTables.select($"tableId"), "tableId")
       .select($"tableId", $"rowId", $"uri")
       .as[(Long, Int, String)]
       .flatMap { case (t, r, uri) =>
-        factsByUriB.value.getOrElse(uri, Nil).map { case (p, v) =>
+        factIndexB.value.getOrElse(uri, Map.empty[String, String]).map { case (p, v) =>
           (t, r, p + Sep + Values.normalize(v))
         }
       }.distinct().toDF("tableId", "rowId", "combo")

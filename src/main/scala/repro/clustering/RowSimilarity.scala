@@ -1,6 +1,6 @@
 package repro.clustering
 
-import repro.core.{DataType, TextSim, TypeSim}
+import repro.core.{DataType, MetricVector, TextSim}
 
 /** The six row-similarity metrics (paper Section 3.2) as one feature vector:
   *
@@ -13,23 +13,9 @@ import repro.core.{DataType, TextSim, TypeSim}
   *   6   +conf      sum of compared implicit-attribute scores
   *   7 SAME_TABLE   0.0 when both rows share a table, else 1.0
   */
-object RowSimilarity {
+object RowSimilarity extends MetricVector {
 
   val metricNames: Seq[String] = Seq("LABEL", "BOW", "PHI", "ATTRIBUTE", "IMPLICIT_ATT", "SAME_TABLE")
-  val dim = 8
-
-  /** Feature indices (score, optional confidence) per metric. */
-  val metricIdx: Map[String, (Int, Option[Int])] = Map(
-    "LABEL" -> (0, None), "BOW" -> (1, None), "PHI" -> (2, None),
-    "ATTRIBUTE" -> (3, Some(4)), "IMPLICIT_ATT" -> (5, Some(6)), "SAME_TABLE" -> (7, None))
-
-  /** Full-feature indices for an active metric subset (confidences included). */
-  def featureIndices(metrics: Seq[String]): Array[Int] =
-    metrics.flatMap { m => val (s, c) = metricIdx(m); s +: c.toSeq }.toArray.sorted
-
-  /** Score-only indices (the weighted average ignores confidences). */
-  def scoreIndices(metrics: Seq[String]): Array[Int] =
-    metrics.map(m => metricIdx(m)._1).toArray.sorted
 
   def features(a: RowProfile, b: RowProfile,
                schema: Map[String, DataType]): Array[Double] = {
@@ -37,39 +23,15 @@ object RowSimilarity {
     f(0) = TextSim.mongeElkan(a.normLabel, b.normLabel)
     f(1) = TextSim.cosineBinary(a.tokens.toSet, b.tokens.toSet)
     f(2) = TextSim.cosineSparse(a.phi, b.phi)
-
-    // ATTRIBUTE: overlapping mapped values
-    val shared = a.values.keySet.intersect(b.values.keySet)
-    if (shared.nonEmpty) {
-      val eq = shared.toSeq.map { p =>
-        val dt = schema.getOrElse(p, DataType.Text)
-        if (TypeSim.equal(dt, a.values(p), b.values(p))) 1.0 else 0.0
+    attribute(a.values, b.values, schema, f, 3)
+    // each row's table-level combos are compared with the other row's mapped
+    // value, else with the implicit value of the other row's table
+    def valueOf(y: RowProfile): String => Option[String] = p =>
+      y.values.get(p).orElse {
+        y.implicitAtts.keysIterator.find(_.startsWith(p + RowProfiles.Sep))
+          .map(_.substring(p.length + 1))
       }
-      f(3) = eq.sum / eq.size
-      f(4) = eq.size.toDouble
-    }
-
-    // IMPLICIT_ATT: compare a's table-level combos against b (both directions)
-    var implSum = 0.0; var implW = 0.0
-    def compare(x: RowProfile, y: RowProfile): Unit =
-      x.implicitAtts.foreach { case (combo, w) =>
-        val i = combo.indexOf(RowProfiles.Sep)
-        if (i > 0) {
-          val p = combo.substring(0, i); val v = combo.substring(i + 1)
-          val dt = schema.getOrElse(p, DataType.Text)
-          val other: Option[String] = y.values.get(p).orElse {
-            y.implicitAtts.keysIterator.find(_.startsWith(p + RowProfiles.Sep))
-              .map(_.substring(i + 1))
-          }
-          other.foreach { ov =>
-            implW += w
-            if (TypeSim.equal(dt, v, ov)) implSum += w
-          }
-        }
-      }
-    compare(a, b); compare(b, a)
-    if (implW > 0) { f(5) = implSum / implW; f(6) = implW }
-
+    implicitAtt(Seq(a.implicitAtts -> valueOf(b), b.implicitAtts -> valueOf(a)), schema, f, 5)
     f(7) = if (a.tableId == b.tableId) 0.0 else 1.0
     f
   }

@@ -100,8 +100,7 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
         throw new IllegalArgumentException(
           s"pairStage needs the rows of one class, got ${classes.sorted.mkString(", ")}")
     }
-    val schema = kb.schemaByClass.values.flatten.toMap
-    val feats = PairFeatures.compute(spark, profilesDS, pairs, schema).localCheckpoint()
+    val feats = PairFeatures.compute(spark, profilesDS, pairs, kb.propertyTypes).localCheckpoint()
     (feats, comps)
   }
 
@@ -116,10 +115,9 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
     * KB fact of the row's best label-candidate instance.
     */
   def columnTrust(attrCorr: Map[Long, String]): Map[Long, Double] = {
-    val factsByUriB = spark.sparkContext.broadcast(
-      kb.factsSeq.groupBy(_.uri).map { case (u, fs) => u -> fs.map(f => f.property -> f.value).toMap })
+    val factIndexB = kb.factIndexB
     val attrB = spark.sparkContext.broadcast(attrCorr)
-    val schemaB = spark.sparkContext.broadcast(kb.schemaByClass.values.flatten.toMap)
+    val typesB = kb.propertyTypesB
     val top1 = rowCands.withColumn("rk", row_number().over(
         org.apache.spark.sql.expressions.Window
           .partitionBy($"tableId", $"rowId").orderBy($"labelSim".desc, $"uri")))
@@ -130,8 +128,8 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
       .flatMap { case (t, c, _, raw, uri) =>
         for {
           prop <- attrB.value.get(Keys.colKey(t, c))
-          fact <- factsByUriB.value.get(uri).flatMap(_.get(prop))
-          dt   <- schemaB.value.get(prop)
+          fact <- factIndexB.value.get(uri).flatMap(_.get(prop))
+          dt   <- typesB.value.get(prop)
         } yield (Keys.colKey(t, c), if (TypeSim.equal(dt, raw, fact)) 1.0 else 0.0)
       }
       .groupByKey(_._1).mapGroups { (ck, it) =>
@@ -141,18 +139,15 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
 
   /** Entity creation for one class. */
   def entities(profilesDS: Dataset[RowProfile], clusters: Map[Long, Long],
-               scoring: FusionScoring, colScores: Map[Long, Double]): Dataset[Entity] = {
-    val schema = kb.schemaByClass.values.flatten.toMap
-    EntityCreation.create(spark, profilesDS, clusters, schema, scoring, colScores)
-  }
+               scoring: FusionScoring, colScores: Map[Long, Double]): Dataset[Entity] =
+    EntityCreation.create(spark, profilesDS, clusters, kb.propertyTypes, scoring, colScores)
 
   /** New detection for one class; returns entityKey -> Detection. */
   def detect(cls: String, ents: Dataset[Entity], agg: Aggregator, featIdx: Array[Int],
              tNew: Double, tMatch: Double): Map[Long, Detection] = {
     val snapshot = detectSnapshot(cls)
     val idx = NewDetector.tokenIndex(snapshot)
-    val schema = kb.schemaByClass.values.flatten.toMap
-    NewDetector.classify(spark, ents, idx, snapshot, schema, kb.classParents,
+    NewDetector.classify(spark, ents, idx, snapshot, kb.propertyTypes, kb.classParents,
                          agg, featIdx, tNew, tMatch)
       .collect().map {
         case (k, "", _)  => k -> (DetectedNew: Detection)
@@ -183,11 +178,25 @@ case class ClassModels(clusterAgg: Aggregator, clusterMetrics: Seq[String],
                        detectAgg: Aggregator, detectMetrics: Seq[String],
                        tNew: Double, tMatch: Double)
 
-/** One class's end-of-pipeline outputs. */
+/** One class's outputs of one iteration. */
 case class ClassRun(cls: String, attrCorr: Map[Long, (String, Double)],
                     clusters: Map[Long, Long],
                     entities: Seq[Entity], detections: Map[Long, Detection],
-                    profiles: Seq[RowProfile])
+                    profiles: Seq[RowProfile]) {
+  /** What the next iteration's schema matching takes from this one: the
+    * mapping, the row clusters, and the rows of entities matched to a KB
+    * instance.
+    */
+  def prior: PriorOutputs = PriorOutputs(
+    prelimAttr = attrCorr.map { case (k, v) => k -> v._1 },
+    rowCluster = clusters,
+    rowInstance = entities.flatMap { e =>
+      detections.get(e.entityKey) match {
+        case Some(DetectedExisting(uri, _)) => e.rowKeys.map(_ -> uri)
+        case _ => Nil
+      }
+    }.toMap)
+}
 
 object PipelineRunner {
 
@@ -196,101 +205,60 @@ object PipelineRunner {
     */
   def learnClusterAgg(feats: Seq[PairFeature], goldCluster: Map[Long, Long],
                       learnRows: Set[Long], metrics: Seq[String], seed: Long): (CombinedAgg, Array[Int]) = {
-    val fi = RowSimilarity.featureIndices(metrics)
-    val si = RowSimilarity.scoreIndices(metrics)
-    val siWithin = si.map(fi.indexOf(_)) // positions of scores inside selected vector
     val usable = feats.filter(p => learnRows.contains(p.a) && learnRows.contains(p.b) &&
                                    goldCluster.contains(p.a) && goldCluster.contains(p.b))
-    val x = usable.map(p => fi.map(p.features)).toArray
-    val y = usable.map(p => goldCluster(p.a) == goldCluster(p.b)).toArray
-    val (_, _, combined) = Aggregators.train(x, y, siWithin, seed)
-    (combined, fi)
+    train(RowSimilarity, metrics, usable.map(p => (p.features, goldCluster(p.a) == goldCluster(p.b))), seed)
   }
 
   /** Learn the new-detection aggregator + thresholds from gold entities. */
   def learnDetect(pipe: Pipeline, cls: String, ents: Seq[Entity],
                   truth: Map[Long, Option[String]], metrics: Seq[String],
                   seed: Long): (CombinedAgg, Array[Int], Double, Double) = {
-    val fi = EntitySimilarity.featureIndices(metrics)
-    val si = EntitySimilarity.scoreIndices(metrics)
-    val siWithin = si.map(fi.indexOf(_))
     val snapshot = pipe.detectSnapshot(cls)
     val idx = NewDetector.tokenIndex(snapshot)
-    val schema = pipe.kb.schemaByClass.values.flatten.toMap
-    val cands = ents.map { e =>
-      e.entityKey -> NewDetector.candidateFeatures(e, idx, snapshot, schema, pipe.kb.classParents)
-    }.toMap
-    val x = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-    val y = scala.collection.mutable.ArrayBuffer.empty[Boolean]
-    ents.foreach { e =>
-      truth.get(e.entityKey).foreach { t =>
-        cands(e.entityKey).foreach { case (uri, f) =>
-          x += fi.map(f); y += t.contains(uri)
-        }
+    val labeled = ents.flatMap { e =>
+      truth.get(e.entityKey).map { t =>
+        (e.entityKey, NewDetector.candidateFeatures(e, idx, snapshot, pipe.kb.propertyTypes,
+                                                    pipe.kb.classParents), t)
       }
     }
-    val (_, _, agg) = Aggregators.train(x.toArray, y.toArray, siWithin, seed)
-    val learnSet = ents.flatMap { e =>
-      truth.get(e.entityKey).map { t =>
-        (e.entityKey, cands(e.entityKey).map { case (u, f) => (u, agg.normScore(fi.map(f))) }, t)
-      }
+    val (agg, fi) = train(EntitySimilarity, metrics,
+      labeled.flatMap { case (_, cands, t) => cands.map { case (uri, f) => (f.toSeq, t.contains(uri)) } },
+      seed)
+    val learnSet = labeled.map { case (k, cands, t) =>
+      (k, cands.map { case (u, f) => (u, agg.normScore(fi.map(f))) }, t)
     }
     val (tn, tm) = NewDetector.learnThresholds(learnSet)
     (agg, fi, tn, tm)
   }
 
-  /** Iteration-1 outputs handed to the second iteration (and to learning of
-    * the duplicate-based matchers).
+  /** Train an aggregator on the active metrics' features of labeled full
+    * vectors; returns it with the feature indices it reads.
     */
-  case class Iter1(corr: Map[Long, (String, Double)], clusters: Map[Long, Long],
-                   entities: Seq[Entity], detections: Map[Long, Detection],
-                   prior: PriorOutputs)
-
-  /** First iteration: schema matching without duplicate-based matchers, then
-    * clustering, entity creation and new detection.
-    */
-  def runIteration1(pipe: Pipeline, cls: String,
-                    attrModel1: AttributeMatcher.AttrModel,
-                    models: ClassModels, scoring: FusionScoring = Voting): Iter1 = {
-    import pipe.spark.implicits._
-    val corr1 = pipe.attrCorrespondences(pipe.attrFeatures1, attrModel1)
-    val prof1 = pipe.profiles(cls, corr1.map { case (k, v) => k -> v._1 })
-    val (pf1, comps1) = pipe.pairStage(prof1)
-    val clusters1 = pipe.cluster(pf1, comps1,
-      models.clusterAgg, RowSimilarity.featureIndices(models.clusterMetrics))
-    val ents1 = pipe.entities(prof1, clusters1, scoring,
-                              fusionScores(pipe, corr1, scoring)).collect().toSeq
-    val det1 = pipe.detect(cls, ents1.toDS(), models.detectAgg,
-      EntitySimilarity.featureIndices(models.detectMetrics), models.tNew, models.tMatch)
-    val rowInstance = ents1.flatMap { e =>
-      det1.get(e.entityKey) match {
-        case Some(DetectedExisting(uri, _)) => e.rowKeys.map(_ -> uri)
-        case _ => Nil
-      }
-    }.toMap
-    val prior = PriorOutputs(
-      prelimAttr = corr1.map { case (k, v) => k -> v._1 },
-      rowCluster = clusters1,
-      rowInstance = rowInstance)
-    Iter1(corr1, clusters1, ents1, det1, prior)
+  private def train(kernel: MetricVector, metrics: Seq[String],
+                    samples: Seq[(Seq[Double], Boolean)], seed: Long): (CombinedAgg, Array[Int]) = {
+    val fi = kernel.featureIndices(metrics)
+    val scoresWithin = kernel.scoreIndices(metrics).map(fi.indexOf(_))
+    val agg = Aggregators.train(samples.map(s => fi.map(s._1)).toArray, samples.map(_._2).toArray,
+                                scoresWithin, seed)
+    (agg, fi)
   }
 
-  /** Second iteration with the refined schema mapping. */
-  def runIteration2(pipe: Pipeline, cls: String, prior: PriorOutputs,
-                    attrModel2: AttributeMatcher.AttrModel, models: ClassModels,
-                    scoring: FusionScoring = Voting): ClassRun = {
+  /** One pass of the pipeline for one class under a schema mapping:
+    * profiles, clustering, entity creation and new detection.
+    */
+  def runIteration(pipe: Pipeline, cls: String, corr: Map[Long, (String, Double)],
+                   models: ClassModels, scoring: FusionScoring = Voting): ClassRun = {
     import pipe.spark.implicits._
-    val feats2 = pipe.attrFeatures(Some(prior))
-    val corr2 = pipe.attrCorrespondences(feats2, attrModel2)
-    val prof2 = pipe.profiles(cls, corr2.map { case (k, v) => k -> v._1 })
-    val (pf2, comps2) = pipe.pairStage(prof2)
-    val clusters2 = pipe.cluster(pf2, comps2,
+    val prof = pipe.profiles(cls, corr.map { case (k, v) => k -> v._1 })
+    val (pf, comps) = pipe.pairStage(prof)
+    val clusters = pipe.cluster(pf, comps,
       models.clusterAgg, RowSimilarity.featureIndices(models.clusterMetrics))
-    val ents2 = pipe.entities(prof2, clusters2, scoring,
-                              fusionScores(pipe, corr2, scoring)).collect().toSeq
-    val det2 = pipe.detect(cls, ents2.toDS(), models.detectAgg,
+    val ents = pipe.entities(prof, clusters, scoring,
+                             fusionScores(pipe, corr, scoring)).collect().toSeq
+    val det = pipe.detect(cls, ents.toDS(), models.detectAgg,
       EntitySimilarity.featureIndices(models.detectMetrics), models.tNew, models.tMatch)
-    ClassRun(cls, corr2, clusters2, ents2, det2, prof2.collect().toSeq)
+    ClassRun(cls, corr, clusters, ents, det, prof.collect().toSeq)
   }
 
   /** Column weights for the configured fusion scoring approach. */

@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.clustering.{PairFeature, RowProfile, RowSimilarity}
-import repro.core.{Pipeline, PipelineRunner}
+import repro.core.{ClassRun, Pipeline, PipelineRunner}
 import repro.fusion.{Entity, EntityCreation, FusionScoring, Voting}
 import repro.kb.KnowledgeBase
 import repro.learn.CombinedAgg
@@ -23,7 +23,7 @@ object Experiment {
       corpus.cellsDF(spark).cache(), corpus.columnsDF(spark).cache(),
       Schemas.kbPropertyLabels)
     val gold: GoldStandard = corpus.gold
-    val schema: Map[String, repro.core.DataType] = kb.schemaByClass.values.flatten.toMap
+    val schema: Map[String, repro.core.DataType] = kb.propertyTypes
 
     /** Gold attribute annotations keyed by (tableId, colId). */
     val goldAttrMap: Map[(Long, Int), String] =
@@ -78,7 +78,19 @@ object Experiment {
 
     /** 3-fold split of gold clusters (homonym-aware). */
     lazy val folds: Seq[Seq[Long]] = gold.folds(world)
+
+    /** Generating world entity of every corpus row. */
+    lazy val rowTruthEntity: Map[Long, Long] =
+      corpus.rowTruth.map(rt => Keys.rowKey(rt.tableId, rt.rowId) -> rt.entityId).toMap
+    /** Number of rows of every corpus table. */
+    lazy val rowsPerTable: Map[Long, Long] = corpus.cells.groupBy(_.tableId)
+      .map { case (t, cs) => t -> cs.map(_.rowId).distinct.size.toLong }
   }
+
+  /** World and corpus configuration for a scale name: "bench", else test. */
+  def scaleConfigs(scale: String): (WorldConfig, CorpusConfig) =
+    if (scale == "bench") (WorldConfig.bench(), CorpusConfig.bench())
+    else (WorldConfig.test(), CorpusConfig.test())
 
   def build(spark: SparkSession, worldCfg: WorldConfig, corpusCfg: CorpusConfig): Ctx = {
     val world = SynthWorld.generate(worldCfg)
@@ -130,11 +142,21 @@ object Experiment {
     * then iteration 2.
     */
   def fullRun(ctx: Ctx, cls: String, models: repro.core.ClassModels,
-              scoring: FusionScoring = Voting): repro.core.ClassRun = {
-    val it1 = PipelineRunner.runIteration1(ctx.pipe, cls, ctx.attrModel1, models, scoring)
+              scoring: FusionScoring = Voting): ClassRun = {
+    val it1 = PipelineRunner.runIteration(ctx.pipe, cls, ctx.corr1, models, scoring)
     val feats2 = ctx.pipe.attrFeatures(Some(it1.prior))
     val attr2 = AttributeMatcher.learn(ctx.spark, feats2, ctx.goldAttrMap, ctx.gold.tableIds)
-    PipelineRunner.runIteration2(ctx.pipe, cls, it1.prior, attr2, models, scoring)
+    PipelineRunner.runIteration(ctx.pipe, cls, ctx.pipe.attrCorrespondences(feats2, attr2),
+                                models, scoring)
+  }
+
+  /** Large-scale profiling of a run (paper Table 11) over every table matched
+    * to the run's class, judged against the world truth.
+    */
+  def largeScale(ctx: Ctx, run: ClassRun): Metrics.LargeScale = {
+    val tables = ctx.pipe.tableClass.collect().filter(_.getString(1) == run.cls).map(_.getLong(0))
+    Metrics.largeScale(run.entities, run.detections, ctx.rowTruthEntity, ctx.world,
+                       tables.map(t => ctx.rowsPerTable.getOrElse(t, 0L)).sum, ctx.schema)
   }
 
   /** Combined importances (average of weighted-average weights and RF

@@ -10,19 +10,21 @@ object Metrics {
 
   def f1(p: Double, r: Double): Double = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
 
-  /** Map each returned entity to the gold cluster holding the majority of
-    * its rows (None when no strict majority exists — a wrongly created
-    * entity).
+  /** The cluster holding the most of an entity's rows under `rowCluster`
+    * (ties: smallest id), with its row count.
     */
-  def entityGoldCluster(e: Entity, rowGold: Map[Long, Long]): Option[Long] = {
-    val goldRows = e.rowKeys.flatMap(rowGold.get)
-    if (goldRows.isEmpty) None
-    else {
-      val (gid, cnt) = goldRows.groupBy(identity).map { case (g, xs) => (g, xs.size) }
-        .maxBy { case (g, c) => (c, -g) }
-      if (cnt * 2 > e.rowKeys.size) Some(gid) else None
-    }
+  private def plurality(e: Entity, rowCluster: Map[Long, Long]): Option[(Long, Int)] = {
+    val ids = e.rowKeys.flatMap(rowCluster.get)
+    if (ids.isEmpty) None
+    else Some(ids.groupBy(identity).map { case (g, xs) => (g, xs.size) }.maxBy { case (g, c) => (c, -g) })
   }
+
+  /** Map each returned entity to the gold cluster (or truth entity) holding
+    * the majority of its rows (None when no strict majority exists — a
+    * wrongly created entity).
+    */
+  def entityGoldCluster(e: Entity, rowGold: Map[Long, Long]): Option[Long] =
+    plurality(e, rowGold).collect { case (gid, cnt) if cnt * 2 > e.rowKeys.size => gid }
 
   /** New-instances-found evaluation (paper Section 4.1, Table 9). An entity
     * correctly returns a new gold instance when (1) the majority of its rows
@@ -30,16 +32,6 @@ object Metrics {
     * cluster's rows, and (3) it is classified as new.
     */
   case class PRF(precision: Double, recall: Double, f1: Double)
-
-  /** Plurality gold cluster among an entity's rows (no majority demanded) —
-    * used to attribute wrongly created entities to one CV fold.
-    */
-  def entityPluralityCluster(e: Entity, rowGold: Map[Long, Long]): Option[Long] = {
-    val goldRows = e.rowKeys.flatMap(rowGold.get)
-    if (goldRows.isEmpty) None
-    else Some(goldRows.groupBy(identity).map { case (g, xs) => (g, xs.size) }
-      .maxBy { case (g, c) => (c, -g) }._1)
-  }
 
   def newInstancesFound(entities: Seq[Entity], detections: Map[Long, Detection],
                         rowGold: Map[Long, Long], gold: GoldStandard,
@@ -59,7 +51,7 @@ object Metrics {
     val returnedNew = entities.filter(e => detections.get(e.entityKey).contains(DetectedNew))
       .filter(e => e.rowKeys.exists(rowGold.contains))
       // attribute each returned entity to the fold of its plurality cluster
-      .filter(e => entityPluralityCluster(e, rowGold).exists(evalClusters.contains))
+      .filter(e => plurality(e, rowGold).exists(g => evalClusters.contains(g._1)))
     val correctEntities = returnedNew.filter { e =>
       entityGoldCluster(e, rowGold).exists(g => newGold.contains(g) && correctlyReturns(e, g))
     }
@@ -102,7 +94,7 @@ object Metrics {
           case None =>
             // wrongly created or wrongly-new: its facts count as wrong in
             // the fold of its plurality cluster (single-counted across folds)
-            if (entityPluralityCluster(e, rowGold).exists(evalClusters.contains))
+            if (plurality(e, rowGold).exists(g => evalClusters.contains(g._1)))
               fp += e.facts.size
         }
       }
@@ -161,21 +153,8 @@ object Metrics {
     }).distinct
     val newEnts = entities.filter(e => detections.get(e.entityKey).contains(DetectedNew))
 
-    def majorityTruth(e: Entity): Option[Long] = {
-      val ids = e.rowKeys.flatMap(rowTruthEntity.get)
-      if (ids.isEmpty) None
-      else {
-        val (id, c) = ids.groupBy(identity).map { case (i, xs) => (i, xs.size) }
-          .maxBy { case (i, c0) => (c0, -i) }
-        if (c * 2 > e.rowKeys.size) Some(id) else None
-      }
-    }
     val judged = newEnts.map { e =>
-      val truthNew = majorityTruth(e) match {
-        case Some(id) => !world.entityById(id).inKB
-        case None     => false
-      }
-      (e, truthNew)
+      (e, entityGoldCluster(e, rowTruthEntity).exists(id => !world.entityById(id).inKB))
     }
     val entAcc = if (judged.isEmpty) 0.0 else judged.count(_._2).toDouble / judged.size
     // fact accuracy is judged against the entity's true description even when
@@ -184,7 +163,7 @@ object Metrics {
     var factsTotal = 0; var factsCorrect = 0
     judged.foreach { case (e, _) =>
       factsTotal += e.facts.size
-      majorityTruth(e).foreach { id =>
+      entityGoldCluster(e, rowTruthEntity).foreach { id =>
         val truth = world.entityById(id).truth
         e.facts.foreach { case (p, v) =>
           if (truth.get(p).exists(t => TypeSim.equal(schema.getOrElse(p, DataType.Text), v, t)))

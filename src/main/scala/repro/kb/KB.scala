@@ -1,5 +1,6 @@
 package repro.kb
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{DataType, TextSim, Values}
@@ -47,37 +48,37 @@ class KnowledgeBase(val spark: SparkSession,
       c -> ps.map(p => p.property -> p.dataType).toMap
     }
 
-  def propertiesOf(cls: String): Seq[String] =
-    schema.filter(_.cls == cls).map(_.property)
+  /** Data type of every property over all classes. */
+  val propertyTypes: Map[String, DataType] = schemaByClass.values.flatten.toMap
+
+  // The fact index keeps one value per property, so a repeated pair is an error.
+  locally {
+    val seen = scala.collection.mutable.HashSet.empty[(String, String)]
+    factsSeq.find(f => !seen.add((f.uri, f.property))).foreach { f =>
+      throw new IllegalArgumentException(
+        s"KB facts repeat (uri, property) = (${f.uri}, ${f.property})")
+    }
+  }
+
+  /** Fact index: uri -> property -> value. */
+  lazy val factIndex: Map[String, Map[String, String]] =
+    factsSeq.groupBy(_.uri).map { case (u, fs) => u -> fs.map(f => f.property -> f.value).toMap }
+  lazy val factIndexB: Broadcast[Map[String, Map[String, String]]] =
+    spark.sparkContext.broadcast(factIndex)
+  lazy val propertyTypesB: Broadcast[Map[String, DataType]] =
+    spark.sparkContext.broadcast(propertyTypes)
 
   /** Local snapshot of all instances of a class (with their facts and a
     * bag-of-words built from labels + facts, mirroring the paper's use of
     * labels, abstract and facts for the BOW entity metric).
     */
-  def localSnapshot(cls: String): Seq[KBInstanceLocal] = {
-    val factsByUri = factsSeq.groupBy(_.uri)
+  def localSnapshot(cls: String): Seq[KBInstanceLocal] =
     instancesSeq.filter(_.cls == cls).map { i =>
-      val fs  = factsByUri.getOrElse(i.uri, Nil).map(f => f.property -> f.value).toMap
+      val fs  = factIndex.getOrElse(i.uri, Map.empty[String, String])
       val bow = ((i.label +: i.altLabels) ++ fs.values).flatMap(TextSim.tokenize).distinct
       KBInstanceLocal(i.uri, i.cls, i.parents, i.label +: i.altLabels,
                       i.popularity, fs, bow.sorted)
     }
-  }
-
-  /** Label token index over ALL instances (all classes): normalized token ->
-    * instance URIs. Substitute for the paper's Lucene index; used for
-    * table-to-class matching and new-detection candidate selection.
-    */
-  lazy val labelTokenIndex: Map[String, Seq[String]] =
-    instancesSeq.flatMap { i =>
-      (i.label +: i.altLabels).flatMap(TextSim.tokenize).distinct.map(_ -> i.uri)
-    }.groupBy(_._1).map { case (t, xs) => t -> xs.map(_._2).distinct }
-
-  /** Full normalized label -> URIs (exact-label lookup). */
-  lazy val labelExactIndex: Map[String, Seq[String]] =
-    instancesSeq.flatMap { i =>
-      (i.label +: i.altLabels).map(l => Values.normalize(l) -> i.uri)
-    }.groupBy(_._1).map { case (l, xs) => l -> xs.map(_._2).distinct }
 
   val instanceByUri: Map[String, KBInstance] = instancesSeq.map(i => i.uri -> i).toMap
 

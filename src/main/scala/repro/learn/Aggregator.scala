@@ -51,14 +51,15 @@ case class CombinedAgg(wa: WeightedAvgAgg, rf: ForestAgg, alpha: Double) extends
 }
 
 object Aggregators {
-  /** Train all three aggregators on labeled pair features.
+  /** Train the weighted average and the forest on labeled pair features and
+    * combine them.
     *
     * @param features full feature rows (scores + confidences)
     * @param labels   true = matching pair
     * @param scoreIdx indices of score features (used by the weighted average)
     */
   def train(features: Array[Array[Double]], labels: Array[Boolean],
-            scoreIdx: Array[Int], seed: Long = 5): (WeightedAvgAgg, ForestAgg, CombinedAgg) = {
+            scoreIdx: Array[Int], seed: Long = 5): CombinedAgg = {
     val scoreRows = features.map(f => scoreIdx.map(f))
     val ga = Genetic.learn(scoreRows, labels, seed)
     val wa = WeightedAvgAgg(ga.weights, scoreIdx, ga.threshold)
@@ -80,7 +81,7 @@ object Aggregators {
       val preds = features.map(agg.normScore(_) > 0)
       f1(preds, labels)
     }
-    (wa, rf, CombinedAgg(wa, rf, best))
+    CombinedAgg(wa, rf, best)
   }
 
   def f1(preds: Array[Boolean], labels: Array[Boolean]): Double = {

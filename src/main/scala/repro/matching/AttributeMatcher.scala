@@ -11,7 +11,6 @@ import repro.learn.Genetic
 object Keys {
   def rowKey(tableId: Long, rowId: Int): Long = tableId * 100000L + rowId
   def colKey(tableId: Long, colId: Int): Long = tableId * 1000L + colId
-  def tableOfRow(rowKey: Long): Long = rowKey / 100000L
 }
 
 /** Outputs of a previous pipeline iteration used to refine the schema
@@ -124,13 +123,12 @@ object AttributeMatcher {
       profilesB.value.get((cls, property)).map(p => overlapFit(p, raw)).getOrElse(0.0))
 
     // ---- KB-Duplicate: cell equals the KB fact of the row's instance -----
-    val factsByUriB = spark.sparkContext.broadcast(
-      kb.factsSeq.groupBy(_.uri).map { case (u, fs) => u -> fs.map(f => f.property -> f.value).toMap })
+    val factIndexB = kb.factIndexB
     val rowInstanceB = spark.sparkContext.broadcast(prior.map(_.rowInstance).getOrElse(Map.empty[Long, String]))
     val kbDupUdf = udf((tableId: Long, rowId: Int, property: String, dtName: String, raw: String) => {
       val res = for {
         uri  <- rowInstanceB.value.get(Keys.rowKey(tableId, rowId))
-        fact <- factsByUriB.value.get(uri).flatMap(_.get(property))
+        fact <- factIndexB.value.get(uri).flatMap(_.get(property))
       } yield if (TypeSim.equal(DataType.fromName(dtName), raw, fact)) 1.0 else 0.0
       res.map(Double.box).orNull: java.lang.Double
     })

@@ -1,7 +1,7 @@
 package repro.newdetect
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.core.{DataType, TextSim, TypeSim, Values}
+import repro.core.{DataType, MetricVector, TextSim, Values}
 import repro.fusion.Entity
 import repro.kb.KBInstanceLocal
 import repro.learn.Aggregator
@@ -19,17 +19,13 @@ case object Undecided extends Detection
   *   0 LABEL, 1 TYPE, 2 BOW, 3 ATTRIBUTE, 4 attrConf,
   *   5 IMPLICIT_ATT, 6 implConf, 7 POPULARITY
   */
-object EntitySimilarity {
+object EntitySimilarity extends MetricVector {
   val metricNames: Seq[String] = Seq("LABEL", "TYPE", "BOW", "ATTRIBUTE", "IMPLICIT_ATT", "POPULARITY")
-  val dim = 8
-  val metricIdx: Map[String, (Int, Option[Int])] = Map(
-    "LABEL" -> (0, None), "TYPE" -> (1, None), "BOW" -> (2, None),
-    "ATTRIBUTE" -> (3, Some(4)), "IMPLICIT_ATT" -> (5, Some(6)), "POPULARITY" -> (7, None))
 
-  def featureIndices(metrics: Seq[String]): Array[Int] =
-    metrics.flatMap { m => val (s, c) = metricIdx(m); s +: c.toSeq }.toArray.sorted
-  def scoreIndices(metrics: Seq[String]): Array[Int] =
-    metrics.map(m => metricIdx(m)._1).toArray.sorted
+  /** LABEL: the best Monge-Elkan similarity over all label pairs. */
+  def labelSim(e: Entity, inst: KBInstanceLocal): Double =
+    (for (a <- e.labels.map(Values.normalize); b <- inst.labels.map(Values.normalize))
+     yield TextSim.mongeElkan(a, b)).foldLeft(0.0)(math.max)
 
   /** Features for one (entity, candidate) pair. `popScore` is computed per
     * candidate set (rank-based) and passed in.
@@ -38,41 +34,15 @@ object EntitySimilarity {
                schema: Map[String, DataType],
                classParents: Map[String, Seq[String]]): Array[Double] = {
     val f = new Array[Double](dim)
-    val eLabels = e.labels.map(Values.normalize)
-    val iLabels = inst.labels.map(Values.normalize)
-    f(0) = (for (a <- eLabels; b <- iLabels) yield TextSim.mongeElkan(a, b))
-      .foldLeft(0.0)(math.max)
+    f(0) = labelSim(e, inst)
 
     val eTypes = (e.cls +: classParents.getOrElse(e.cls, Nil)).toSet
     val iTypes = (inst.cls +: inst.parents).toSet
     f(1) = eTypes.intersect(iTypes).size.toDouble / eTypes.union(iTypes).size
 
     f(2) = TextSim.cosineBinary(e.tokens.toSet, inst.bow.toSet)
-
-    val shared = e.facts.keySet.intersect(inst.facts.keySet)
-    if (shared.nonEmpty) {
-      val eqs = shared.toSeq.map { p =>
-        val dt = schema.getOrElse(p, DataType.Text)
-        if (TypeSim.equal(dt, e.facts(p), inst.facts(p))) 1.0 else 0.0
-      }
-      f(3) = eqs.sum / eqs.size
-      f(4) = eqs.size.toDouble
-    }
-
-    var implSum = 0.0; var implW = 0.0
-    e.implicitAtts.foreach { case (combo, w) =>
-      val i = combo.indexOf(repro.clustering.RowProfiles.Sep)
-      if (i > 0) {
-        val p = combo.substring(0, i); val v = combo.substring(i + 1)
-        inst.facts.get(p).foreach { fv =>
-          implW += w
-          val dt = schema.getOrElse(p, DataType.Text)
-          if (TypeSim.equal(dt, v, fv)) implSum += w
-        }
-      }
-    }
-    if (implW > 0) { f(5) = implSum / implW; f(6) = implW }
-
+    attribute(e.facts, inst.facts, schema, f, 3)
+    implicitAtt(Seq(e.implicitAtts -> ((p: String) => inst.facts.get(p))), schema, f, 5)
     f(7) = popScore
     f
   }
@@ -102,11 +72,7 @@ object NewDetector {
       .sortBy { case (inst, c) => (-c, inst.uri) }
       .take(topK * 3)
       .map(_._1)
-      .filter { inst =>
-        val s = (for (a <- e.labels.map(Values.normalize); b <- inst.labels.map(Values.normalize))
-                 yield TextSim.mongeElkan(a, b)).foldLeft(0.0)(math.max)
-        s >= minCandLabelSim
-      }
+      .filter(inst => EntitySimilarity.labelSim(e, inst) >= minCandLabelSim)
       .take(topK)
     // popularity rank within the candidate set
     val ranked = cands.sortBy(c => (-c.popularity, c.uri)).zipWithIndex.toMap

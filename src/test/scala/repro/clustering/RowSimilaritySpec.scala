@@ -78,5 +78,14 @@ class RowSimilaritySpec extends AnyFunSuite {
     assert(RowSimilarity.featureIndices(Seq("ATTRIBUTE")).toSeq == Seq(3, 4))
     assert(RowSimilarity.scoreIndices(Seq("ATTRIBUTE")).toSeq == Seq(3))
     assert(RowSimilarity.featureIndices(RowSimilarity.metricNames).length == RowSimilarity.dim)
+    assert(RowSimilarity.featureIndices(Seq("SAME_TABLE", "LABEL")).toSeq == Seq(0, 7))
+    assert(RowSimilarity.featureIndices(Seq("IMPLICIT_ATT")).toSeq == Seq(5, 6))
+    // new detection shares the layout: the same two metrics carry confidences
+    import repro.newdetect.EntitySimilarity
+    assert(EntitySimilarity.dim == 8)
+    assert(EntitySimilarity.featureIndices(EntitySimilarity.metricNames).toSeq == (0 until 8))
+    assert(EntitySimilarity.featureIndices(Seq("ATTRIBUTE")).toSeq == Seq(3, 4))
+    assert(EntitySimilarity.scoreIndices(EntitySimilarity.metricNames).toSeq == Seq(0, 1, 2, 3, 5, 7))
+    assert(EntitySimilarity.featureIndices(Seq("POPULARITY", "IMPLICIT_ATT")).toSeq == Seq(5, 6, 7))
   }
 }

@@ -45,7 +45,7 @@ class KBSpec extends SparkSpec {
   }
 
   test("schema lookup by class exposes the paper's properties") {
-    val props = kb.propertiesOf(Schemas.GFPlayer)
+    val props = kb.schemaByClass(Schemas.GFPlayer).keySet
     assert(props.contains("birthDate") && props.contains("draftPick"))
     assert(kb.schemaByClass(Schemas.Song)("runtime") == repro.core.DataType.Quantity)
   }
@@ -59,15 +59,17 @@ class KBSpec extends SparkSpec {
     }
   }
 
-  test("labelExactIndex finds instances by normalized label") {
-    val inst = kb.instancesSeq.head
-    val uris = kb.labelExactIndex(repro.core.Values.normalize(inst.label))
-    assert(uris.contains(inst.uri))
+  test("factIndex holds every fact exactly once") {
+    assert(kb.factIndex.values.map(_.size).sum == kb.factsSeq.size)
+    kb.factsSeq.foreach(f => assert(kb.factIndex(f.uri)(f.property) == f.value))
   }
 
-  test("labelTokenIndex covers every instance") {
-    val indexed = kb.labelTokenIndex.values.flatten.toSet
-    assert(kb.instancesSeq.map(_.uri).toSet.subsetOf(indexed))
+  test("facts repeating a (uri, property) pair are rejected, naming the pair") {
+    val f = KBFact("kb:Song/1", "genre", "rock")
+    val e = intercept[IllegalArgumentException] {
+      new KnowledgeBase(spark, Nil, Seq(f, KBFact("kb:Song/2", "genre", "rock"), f.copy(value = "jazz")), Nil)
+    }
+    assert(e.getMessage.contains("(kb:Song/1, genre)"))
   }
 
   test("classParents exposes the hierarchy") {

@@ -86,11 +86,11 @@ class LearnSpec extends AnyFunSuite {
   // ---- aggregators ---------------------------------------------------------------
   test("trained aggregators separate a synthetic pair task") {
     val (xs, ys) = separableData(300, 11)
-    val (wa, rf, combined) = Aggregators.train(xs, ys, Array(0, 1, 2), seed = 12)
+    val combined = Aggregators.train(xs, ys, Array(0, 1, 2), seed = 12)
     def acc(a: Aggregator): Double =
       xs.zip(ys).count { case (f, y) => (a.normScore(f) > 0) == y }.toDouble / xs.length
-    assert(acc(wa) > 0.85, s"weighted average too weak: ${acc(wa)}")
-    assert(acc(rf) > 0.85, s"forest too weak: ${acc(rf)}")
+    assert(acc(combined.wa) > 0.85, s"weighted average too weak: ${acc(combined.wa)}")
+    assert(acc(combined.rf) > 0.85, s"forest too weak: ${acc(combined.rf)}")
     assert(acc(combined) > 0.85, s"combined too weak: ${acc(combined)}")
   }
   test("weighted-average normScore is in [-1,1] and monotone around threshold") {
@@ -103,7 +103,7 @@ class LearnSpec extends AnyFunSuite {
   }
   test("combined aggregator importances average both parts") {
     val (xs, ys) = separableData(200, 13)
-    val (_, _, combined) = Aggregators.train(xs, ys, Array(0, 1, 2), seed = 14)
+    val combined = Aggregators.train(xs, ys, Array(0, 1, 2), seed = 14)
     assert(combined.importances.length == 3)
     assert(combined.importances.forall(i => i >= 0.0 && i <= 1.0))
   }

@@ -107,7 +107,6 @@ class MatchingSpec extends SparkSpec {
 
   test("Keys round-trip table/row/col identifiers") {
     assert(Keys.rowKey(42L, 7) == 4200007L)
-    assert(Keys.tableOfRow(Keys.rowKey(42L, 7)) == 42L)
     assert(Keys.colKey(42L, 3) == 42003L)
   }
 }
