@@ -24,10 +24,9 @@ class Pipeline(val spark: SparkSession, val kb: KnowledgeBase,
   lazy val detectedTypes: DataFrame = TypeDetector.detect(spark, cells).localCheckpoint()
   lazy val labelCols: DataFrame =
     LabelAttributeDetector.detect(spark, cells, detectedTypes).localCheckpoint()
-  lazy val tableClassAndCands: (DataFrame, DataFrame) = {
-    val (tc, cands) = TableClassMatcher.matchClasses(spark, cells, labelCols, kb)
-    (tc.localCheckpoint(), cands.localCheckpoint())
-  }
+  // both outputs read one per-table pass, which is localCheckpointed
+  lazy val tableClassAndCands: (DataFrame, DataFrame) =
+    TableClassMatcher.matchClasses(spark, cells, labelCols, kb)
   def tableClass: DataFrame = tableClassAndCands._1
   def rowCands: DataFrame = tableClassAndCands._2
 

@@ -34,9 +34,11 @@ object TextSim {
     if (m == 0) 1.0 else 1.0 - levenshtein(a, b).toDouble / m
   }
 
+  private val tokenSep = java.util.regex.Pattern.compile("""[^\p{L}\p{N}]+""")
+
   /** Whitespace/punctuation tokenization of a normalized string. */
   def tokenize(s: String): Seq[String] =
-    s.toLowerCase.split("""[^\p{L}\p{N}]+""").filter(_.nonEmpty).toSeq
+    tokenSep.split(s.toLowerCase).filter(_.nonEmpty).toSeq
 
   /** Monge-Elkan similarity with Levenshtein as inner similarity.
     * Symmetrized (average of both directions) so row order is irrelevant.

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.util.matching.Regex
+
 /** The six data types of the paper (Section 3.1), each with a similarity
   * function and an equivalence threshold used across the whole pipeline:
   * attribute-to-property blocking, ATTRIBUTE row similarity, value grouping
@@ -32,14 +34,19 @@ object DataType {
 
 /** Value normalization and parsing helpers shared by all components. */
 object Values {
-  private val datePatterns = Seq(
-    ("""^(\d{4})-(\d{1,2})-(\d{1,2})$""".r, "ymd"),
-    ("""^(\d{1,2})/(\d{1,2})/(\d{4})$""".r, "mdy"),
-    ("""^(jan|feb|mar|apr|may|jun|jul|aug|sep|oct|nov|dec)[a-z]* (\d{1,2}),? (\d{4})$""".r, "tex"),
-    ("""^(\d{4})$""".r, "y"),
-  )
   private val months = Seq("jan", "feb", "mar", "apr", "may", "jun",
                            "jul", "aug", "sep", "oct", "nov", "dec")
+  /** Date patterns in order of precedence, each with its (y, m, d) reader. */
+  private val datePatterns: Seq[(Regex, Regex.Match => Option[(Int, Int, Int)])] = Seq(
+    ("""^(\d{4})-(\d{1,2})-(\d{1,2})$""".r,
+      m => Some((m.group(1).toInt, m.group(2).toInt, m.group(3).toInt))),
+    ("""^(\d{1,2})/(\d{1,2})/(\d{4})$""".r,
+      m => Some((m.group(3).toInt, m.group(1).toInt, m.group(2).toInt))),
+    ("""^(jan|feb|mar|apr|may|jun|jul|aug|sep|oct|nov|dec)[a-z]* (\d{1,2}),? (\d{4})$""".r,
+      m => Some((m.group(3).toInt, months.indexOf(m.group(1)) + 1, m.group(2).toInt))),
+    ("""^(\d{4})$""".r,
+      m => Some(m.group(1).toInt).filter(y => y >= 1000 && y <= 2100).map(y => (y, 0, 0))),
+  )
 
   private val spaceRun = """[\u00A0\s]+""".r
   private val leadingPunct = "\"'`(["
@@ -66,25 +73,16 @@ object Values {
   /** Parse to (year, month, day); month/day are 0 for year granularity. */
   def parseDate(raw: String): Option[(Int, Int, Int)] = {
     val s = normalize(raw)
-    datePatterns.collectFirst {
-      case (p, "ymd") if p.findFirstIn(s).isDefined =>
-        val m = p.findFirstMatchIn(s).get
-        (m.group(1).toInt, m.group(2).toInt, m.group(3).toInt)
-      case (p, "mdy") if p.findFirstIn(s).isDefined =>
-        val m = p.findFirstMatchIn(s).get
-        (m.group(3).toInt, m.group(1).toInt, m.group(2).toInt)
-      case (p, "tex") if p.findFirstIn(s).isDefined =>
-        val m = p.findFirstMatchIn(s).get
-        (m.group(3).toInt, months.indexOf(m.group(1)) + 1, m.group(2).toInt)
-      case (p, "y") if p.findFirstIn(s).isDefined && s.toInt >= 1000 && s.toInt <= 2100 =>
-        (s.toInt, 0, 0)
-    }
+    datePatterns.iterator
+      .flatMap { case (p, read) => p.findFirstMatchIn(s).flatMap(read) }
+      .nextOption()
   }
+
+  private val unitSuffix = """\s*(m|kg|cm|km|ft|lb|lbs|in|people|s|sec|min)\.?$""".r
 
   /** Parse a quantity: strips thousand separators and trailing units. */
   def parseQuantity(raw: String): Option[Double] = {
-    val s = normalize(raw).replaceAll(",", "")
-      .replaceAll("""\s*(m|kg|cm|km|ft|lb|lbs|in|people|s|sec|min)\.?$""", "")
+    val s = unitSuffix.replaceAllIn(normalize(raw).replace(",", ""), "")
     try { if (s.isEmpty) None else Some(s.toDouble) }
     catch { case _: NumberFormatException => None }
   }

@@ -4,6 +4,7 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{DataType, TextSim, Values}
+import repro.matching.TableClassMatcher
 
 /** One property of a KB class schema. */
 case class PropertySpec(cls: String, property: String, dataTypeName: String) {
@@ -28,6 +29,33 @@ case class KBFact(uri: String, property: String, value: String)
 case class KBInstanceLocal(uri: String, cls: String, parents: Seq[String],
                            labels: Seq[String], popularity: Long,
                            facts: Map[String, String], bow: Seq[String])
+
+/** KB label index for row-to-instance candidate generation (stand-in for
+  * the paper's Lucene label index): token -> the normalized labels
+  * containing it, and label -> its (uri, cls) pairs. Tokens whose document
+  * frequency exceeds the build's `maxTokenDf` are stop tokens and have no
+  * postings.
+  */
+case class LabelIndex(postings: Map[String, Seq[String]],
+                      instances: Map[String, Seq[(String, String)]]) {
+  /** The labels sharing a posted token with `tokens`, each once. */
+  def candidates(tokens: Seq[String]): Iterator[String] =
+    tokens.iterator.flatMap(t => postings.getOrElse(t, Nil)).distinct
+}
+
+object LabelIndex {
+  def build(instances: Seq[KBInstance], maxTokenDf: Int): LabelIndex = {
+    val byLabel = instances.flatMap { i =>
+      (i.label +: i.altLabels).map(l => Values.normalize(l) -> (i.uri, i.cls))
+    }.groupMap(_._1)(_._2).map { case (l, is) => l -> is.distinct }
+    val tokens = byLabel.keys.toSeq.map(l => l -> TextSim.tokenize(l))
+    // a label repeating a token counts once per occurrence
+    val df = tokens.flatMap(_._2).groupMapReduce(identity)(_ => 1)(_ + _)
+    val postings = tokens.flatMap { case (l, ts) => ts.distinct.filter(df(_) <= maxTokenDf).map(_ -> l) }
+      .groupMap(_._1)(_._2)
+    LabelIndex(postings, byLabel)
+  }
+}
 
 /** The knowledge base: DataFrames as the canonical representation (used by
   * the join-based matchers), plus a broadcastable local snapshot per class
@@ -68,6 +96,12 @@ class KnowledgeBase(val spark: SparkSession,
   lazy val propertyTypesB: Broadcast[Map[String, DataType]] =
     spark.sparkContext.broadcast(propertyTypes)
 
+  /** Label index for table-to-class matching, built on the driver from the
+    * instances on first use.
+    */
+  lazy val labelIndexB: Broadcast[LabelIndex] =
+    spark.sparkContext.broadcast(LabelIndex.build(instancesSeq, TableClassMatcher.maxKbTokenDf))
+
   /** Local snapshot of all instances of a class (with their facts and a
     * bag-of-words built from labels + facts, mirroring the paper's use of
     * labels, abstract and facts for the BOW entity metric).
@@ -86,9 +120,7 @@ class KnowledgeBase(val spark: SparkSession,
   lazy val classParents: Map[String, Seq[String]] =
     instancesSeq.groupBy(_.cls).map { case (c, is) => c -> is.head.parents }
 
-  /** (labels table) DataFrame: uri, cls, normLabel — one row per label,
-    * for join-based row-to-instance candidate generation.
-    */
+  /** (labels table) DataFrame: uri, cls, normLabel — one row per label. */
   lazy val labelsDF: DataFrame =
     instancesSeq.flatMap { i =>
       (i.label +: i.altLabels).map(l => (i.uri, i.cls, Values.normalize(l)))

@@ -7,10 +7,15 @@ import repro.core.{DataType, TextSim, TypeSim, Values}
 import repro.kb.KnowledgeBase
 import repro.learn.Genetic
 
-/** Compact row/column keys used across pipeline stages. */
+/** Compact row/column keys used across pipeline stages. Row and column ids
+  * must lie in [0, maxRowsPerTable) and [0, maxColsPerTable), or keys of
+  * different tables collide; `Corpus` rejects ids outside these bounds.
+  */
 object Keys {
-  def rowKey(tableId: Long, rowId: Int): Long = tableId * 100000L + rowId
-  def colKey(tableId: Long, colId: Int): Long = tableId * 1000L + colId
+  val maxRowsPerTable = 100000
+  val maxColsPerTable = 1000
+  def rowKey(tableId: Long, rowId: Int): Long = tableId * maxRowsPerTable + rowId
+  def colKey(tableId: Long, colId: Int): Long = tableId * maxColsPerTable + colId
 }
 
 /** Outputs of a previous pipeline iteration used to refine the schema

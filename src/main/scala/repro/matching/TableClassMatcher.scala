@@ -1,10 +1,10 @@
 package repro.matching
 
+import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.Window
 import repro.core.{DataType, TextSim, TypeSim, Values}
-import repro.kb.KnowledgeBase
+import repro.kb.{KnowledgeBase, LabelIndex}
 
 /** Table-to-class matching (paper Section 3.1, after Ritze et al.):
   * (1) row labels are matched against a KB label index to collect candidate
@@ -14,7 +14,9 @@ import repro.kb.KnowledgeBase
   * its best-matching property. The class with the highest aggregate wins.
   *
   * The Lucene label index of the paper is substituted by a token inverted
-  * index realized as a Spark join (explode tokens on both sides).
+  * index over the KB labels (`LabelIndex`, `KnowledgeBase.labelIndexB`). It
+  * is broadcast together with the KB fact index, and each table is matched
+  * in one pass over its cells.
   */
 object TableClassMatcher {
 
@@ -37,83 +39,88 @@ object TableClassMatcher {
     */
   val maxKbTokenDf = 400
 
-  /** Candidate instances per row via token join + label-similarity filter:
-    * (tableId, rowId, uri, cls, labelSim). The expensive Monge-Elkan UDF is
-    * evaluated once per distinct (row label, KB label) pair.
-    */
-  def rowCandidates(spark: SparkSession, rowLabelsDF: DataFrame, kb: KnowledgeBase): DataFrame = {
-    val tokensUdf = udf((s: String) => TextSim.tokenize(s))
-    val meSim     = udf((a: String, b: String) => TextSim.mongeElkan(a, b))
+  /** One candidate instance of one row. */
+  case class RowCand(rowId: Int, uri: String, cls: String, labelSim: Double)
+  /** A matched table: its class, the class's score and the row candidates. */
+  case class TableMatch(tableId: Long, cls: String, score: Long, cands: Seq[RowCand])
 
-    val rowTok = rowLabelsDF.select(col("normLabel")).distinct()
-      .select(col("normLabel"), explode(tokensUdf(col("normLabel"))) as "token")
-    val kbLabels = kb.labelsDF.select(col("normLabel") as "kbLabel").distinct()
-    val kbTok = kbLabels
-      .select(col("kbLabel"), explode(tokensUdf(col("kbLabel"))) as "token")
-    val kbDf = kbTok.groupBy(col("token")).agg(count(lit(1)) as "df")
-    val kbTokKept = kbTok.join(kbDf.filter(col("df") <= maxKbTokenDf), "token")
-      .select(col("kbLabel"), col("token"))
-
-    val labelPairs = rowTok.join(kbTokKept, "token")
-      .select(col("normLabel"), col("kbLabel")).distinct()
-      .withColumn("labelSim", meSim(col("normLabel"), col("kbLabel")))
-      .filter(col("labelSim") >= minLabelSim)
-
-    rowLabelsDF.select(col("tableId"), col("rowId"), col("normLabel"))
-      .join(labelPairs, "normLabel")
-      .join(kb.labelsDF.withColumnRenamed("normLabel", "kbLabel"), "kbLabel")
-      .groupBy(col("tableId"), col("rowId"), col("uri"), col("cls"))
-      .agg(max(col("labelSim")) as "labelSim")
-      .withColumn("rank", row_number().over(
-        Window.partitionBy(col("tableId"), col("rowId"))
-              .orderBy(col("labelSim").desc, col("uri"))))
-      .filter(col("rank") <= topKPerRow)
-      .drop("rank")
-  }
-
-  /** Assign a class to every table. Returns
-    * (tableClass: tableId, cls, score; candidates: rowCandidates output).
+  /** Assign a class to every table with a label column and at least one row
+    * candidate. Returns (tableClass: tableId, cls, score; row candidates:
+    * tableId, rowId, uri, cls, labelSim), both read from one per-table pass
+    * that is localCheckpointed.
     */
   def matchClasses(spark: SparkSession, cells: DataFrame, labelCols: DataFrame,
                    kb: KnowledgeBase): (DataFrame, DataFrame) = {
-    val labels = rowLabels(cells, labelCols)
-    val cands  = rowCandidates(spark, labels, kb).cache()
+    import spark.implicits._
+    val labelIndexB = kb.labelIndexB
+    val factIndexB = kb.factIndexB
+    val schema = kb.schemaByClass
+    val tableCells = cells.select($"tableId", $"rowId", $"colId", $"raw")
+      .as[(Long, Int, Int, String)].groupByKey(_._1)
+    val tableLabelCol = labelCols.select($"tableId", $"labelColId")
+      .as[(Long, Int)].groupByKey(_._1)
+    val matched = tableCells.cogroup(tableLabelCol) { (tableId, cs, lc) =>
+      lc.nextOption().iterator.flatMap { case (_, labelCol) =>
+        matchTable(tableId, labelCol, cs.map(c => (c._2, c._3, c._4)).toSeq,
+                   labelIndexB.value, factIndexB.value, schema)
+      }
+    }.localCheckpoint()
 
-    // (1) row-candidate score per class
-    val rowScore = cands.groupBy(col("tableId"), col("cls"))
-      .agg(countDistinct(col("rowId")) as "rowScore")
+    val tableClass = matched.select($"tableId", $"cls", $"score")
+    val cands = matched.select($"tableId", explode($"cands") as "c")
+      .select($"tableId", $"c.rowId", $"c.uri", $"c.cls", $"c.labelSim")
+    (tableClass, cands)
+  }
+
+  /** Match one table given its label column and its cells (rowId, colId,
+    * raw). None when no row has a candidate.
+    */
+  private def matchTable(tableId: Long, labelCol: Int, cells: Seq[(Int, Int, String)],
+                         index: LabelIndex, facts: Map[String, Map[String, String]],
+                         schema: Map[String, Map[String, DataType]]): Option[TableMatch] = {
+    // (uri, cls) -> best label similarity, once per distinct normalized label
+    val simsByLabel = mutable.HashMap.empty[String, Seq[((String, String), Double)]]
+    def instanceSims(normLabel: String) = simsByLabel.getOrElseUpdate(normLabel, {
+      val best = mutable.HashMap.empty[(String, String), Double]
+      index.candidates(TextSim.tokenize(normLabel)).foreach { kbLabel =>
+        val sim = TextSim.mongeElkan(normLabel, kbLabel)
+        if (sim >= minLabelSim) index.instances(kbLabel).foreach { inst =>
+          if (best.get(inst).forall(_ < sim)) best(inst) = sim
+        }
+      }
+      best.toSeq
+    })
+
+    val (labelCells, valueCells) = cells.partition(_._2 == labelCol)
+    val cands = labelCells.flatMap { case (rowId, _, raw) =>
+      instanceSims(Values.normalize(raw))
+        .sortWith { case ((a, sa), (b, sb)) => sa > sb || (sa == sb && a._1 < b._1) }
+        .take(topKPerRow)
+        .map { case ((uri, cls), sim) => RowCand(rowId, uri, cls, sim) }
+    }
+    if (cands.isEmpty) return None
+
+    // (1) row score: rows with a candidate of the class
+    val rowScore = cands.map(c => (c.cls, c.rowId)).distinct.groupMapReduce(_._1)(_ => 1L)(_ + _)
 
     // (2) duplicate-based column score: cell == candidate-instance fact
-    val schemaMap = kb.schema.map(p => (p.cls, p.property) -> p.dataTypeName).toMap
-    val eqUdf = udf((cls: String, prop: String, a: String, b: String) =>
-      schemaMap.get((cls, prop)).exists(dt => TypeSim.equal(DataType.fromName(dt), a, b)))
+    val rowValues = valueCells.groupMap(_._1)(c => (c._2, c._3))
+    val matches = mutable.HashMap.empty[(String, Int, String), Long]
+    for {
+      c              <- cands
+      props          <- schema.get(c.cls).toSeq
+      (colId, raw)   <- rowValues.getOrElse(c.rowId, Nil)
+      (prop, value)  <- facts.getOrElse(c.uri, Map.empty[String, String])
+      dt             <- props.get(prop)
+      if TypeSim.equal(dt, raw, value)
+    } matches((c.cls, colId, prop)) = matches.getOrElse((c.cls, colId, prop), 0L) + 1L
+    val attrScore = matches.toSeq
+      .groupMapReduce { case ((cls, colId, _), _) => (cls, colId) }(_._2)(math.max)
+      .toSeq.groupMapReduce(_._1._1)(_._2)(_ + _)
 
-    val nonLabelCells = cells.join(
-      labelCols.withColumnRenamed("labelColId", "labelCol"), Seq("tableId"))
-      .filter(col("colId") =!= col("labelCol"))
-      .select(col("tableId"), col("rowId"), col("colId"), col("raw"))
-
-    val dupMatches = cands
-      .join(kb.facts, "uri")
-      .join(nonLabelCells, Seq("tableId", "rowId"))
-      .filter(eqUdf(col("cls"), col("property"), col("raw"), col("value")))
-      .groupBy(col("tableId"), col("cls"), col("colId"), col("property"))
-      .agg(count(lit(1)) as "cnt")
-      .groupBy(col("tableId"), col("cls"), col("colId"))
-      .agg(max(col("cnt")) as "colBest")
-      .groupBy(col("tableId"), col("cls"))
-      .agg(sum(col("colBest")) as "attrScore")
-
-    val tableClass = rowScore
-      .join(dupMatches, Seq("tableId", "cls"), "left")
-      .na.fill(0L, Seq("attrScore"))
-      .withColumn("score", col("rowScore") + col("attrScore"))
-      .withColumn("rank", row_number().over(
-        Window.partitionBy(col("tableId"))
-              .orderBy(col("score").desc, col("cls"))))
-      .filter(col("rank") === 1)
-      .select(col("tableId"), col("cls"), col("score"))
-
-    (tableClass, cands)
+    val (cls, score) = rowScore.toSeq
+      .map { case (c, n) => c -> (n + attrScore.getOrElse(c, 0L)) }
+      .minBy { case (c, s) => (-s, c) }
+    Some(TableMatch(tableId, cls, score, cands))
   }
 }

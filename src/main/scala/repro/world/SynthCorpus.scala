@@ -3,6 +3,7 @@ package repro.world
 import scala.util.Random
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{DataType, TypeSim}
+import repro.matching.Keys
 
 /** Web-table corpus records. A table is a set of columns (with header row)
   * and cells; `rowTruth` / `colTruth` / `tableClassTruth` carry the hidden
@@ -26,6 +27,12 @@ case class Corpus(columns: Seq[TableColumnRec], cells: Seq[TableCellRec],
                   rowTruth: Seq[RowTruthRec], colTruth: Seq[ColTruthRec],
                   tableClassTruth: Map[Long, String],
                   gold: GoldStandard) {
+  // ids outside the Keys bounds would make row or column keys of tables collide
+  for (c <- cells; (what, id, bound) <- Seq(("rowId", c.rowId, Keys.maxRowsPerTable),
+                                          ("colId", c.colId, Keys.maxColsPerTable)))
+    if (id < 0 || id >= bound) throw new IllegalArgumentException(
+      s"table ${c.tableId}: $what $id is outside [0, $bound)")
+
   def columnsDF(spark: SparkSession): DataFrame = { import spark.implicits._; columns.toDF() }
   def cellsDF(spark: SparkSession): DataFrame = { import spark.implicits._; cells.toDF() }
   def tableIds: Seq[Long] = tableClassTruth.keys.toSeq.sorted

@@ -140,6 +140,25 @@ class WorldSpec extends AnyFunSuite {
       s"new clusters unevenly split: $newCounts")
   }
 
+  test("corpus rejects row and column ids the keys cannot pack, naming table and id") {
+    import repro.matching.Keys
+    val t = corpus.cells.head.tableId
+    val bad = Seq(
+      TableCellRec(t, Keys.maxRowsPerTable, 0, "x") -> s"rowId ${Keys.maxRowsPerTable}",
+      TableCellRec(t, -1, 0, "x")                   -> "rowId -1",
+      TableCellRec(t, 0, Keys.maxColsPerTable, "x") -> s"colId ${Keys.maxColsPerTable}",
+      TableCellRec(t, 0, -2, "x")                   -> "colId -2")
+    bad.foreach { case (cell, id) =>
+      val e = intercept[IllegalArgumentException](corpus.copy(cells = corpus.cells :+ cell))
+      assert(e.getMessage.contains(s"table $t") && e.getMessage.contains(id), e.getMessage)
+    }
+    val edge = TableCellRec(t, Keys.maxRowsPerTable - 1, Keys.maxColsPerTable - 1, "x")
+    assert(corpus.copy(cells = corpus.cells :+ edge).cells.last == edge)
+    // the largest ids keep keys of neighbouring tables apart
+    assert(Keys.rowKey(t, Keys.maxRowsPerTable - 1) < Keys.rowKey(t + 1, 0))
+    assert(Keys.colKey(t, Keys.maxColsPerTable - 1) < Keys.colKey(t + 1, 0))
+  }
+
   // ---- renderers --------------------------------------------------------------
   test("render produces parseable date variants") {
     val r = new scala.util.Random(1)
