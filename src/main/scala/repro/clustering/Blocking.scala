@@ -21,25 +21,20 @@ object Blocking {
   def rowBlocks(spark: SparkSession, profiles: DataFrame): DataFrame = {
     import spark.implicits._
     val tok = udf((s: String) => TextSim.tokenize(s))
-    val tokenBlocks = profiles
-      .select($"rowKey", explode(tok($"normLabel")) as "block")
-      .distinct()
-    val tokenDf = tokenBlocks.groupBy($"block").agg(count(lit(1)) as "df")
-    val keptTokens = tokenBlocks.join(tokenDf.filter($"df" <= maxTokenDf), "block")
-      .select($"rowKey", $"block")
-    val labelBlocks = profiles
-      .select($"rowKey", concat(lit("L:"), $"normLabel") as "block")
-    val labelDf = labelBlocks.groupBy($"block").agg(count(lit(1)) as "df")
-    val keptLabels = labelBlocks.join(labelDf.filter($"df" <= maxLabelDf), "block")
-      .select($"rowKey", $"block")
+    val tokens = profiles.select($"rowKey", explode(tok($"normLabel")) as "block").distinct()
+    val labels = profiles.select($"rowKey", concat(lit("L:"), $"normLabel") as "block")
     // 4-char prefix blocks recover typo'd labels whose tokens no longer
     // match exactly (the paper's Lucene index retrieves similar labels)
-    val prefixBlocks = profiles
+    val prefixes = profiles
       .select($"rowKey", concat(lit("P:"), substring($"normLabel", 1, 4)) as "block")
-    val prefixDf = prefixBlocks.groupBy($"block").agg(count(lit(1)) as "df")
-    val keptPrefixes = prefixBlocks.join(prefixDf.filter($"df" <= maxTokenDf), "block")
-      .select($"rowKey", $"block")
-    keptTokens.union(keptLabels).union(keptPrefixes).distinct()
+    upTo(tokens, maxTokenDf).union(upTo(labels, maxLabelDf)).union(upTo(prefixes, maxTokenDf))
+      .distinct()
+  }
+
+  /** The memberships of the blocks with at most `maxDf` rows. */
+  private def upTo(blocks: DataFrame, maxDf: Int): DataFrame = {
+    val df = blocks.groupBy(col("block")).agg(count(lit(1)) as "df")
+    blocks.join(df.filter(col("df") <= maxDf), "block").select(col("rowKey"), col("block"))
   }
 
   /** Candidate row pairs (a < b) sharing at least one block. */

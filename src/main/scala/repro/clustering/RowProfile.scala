@@ -1,15 +1,14 @@
 package repro.clustering
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.{TextSim, Values}
 import repro.kb.KnowledgeBase
 import repro.matching.Keys
 
-/** Everything row-level the similarity metrics need, assembled once with
-  * DataFrame aggregations: label, bag-of-words, the table's PHI label-
-  * correlation vector, values mapped to KB properties, and the table's
-  * implicit attributes (encoded "property|value" -> score).
+/** Everything row-level the similarity metrics need, assembled once per
+  * class: label, bag-of-words, the table's PHI label-correlation vector,
+  * values mapped to KB properties, and the table's implicit attributes
+  * (encoded "property|value" -> score).
   */
 case class RowProfile(rowKey: Long, tableId: Long, cls: String,
                       label: String, normLabel: String,
@@ -40,100 +39,75 @@ object RowProfiles {
   /** Cap per-table PHI vector size. */
   val phiCap = 40
 
-  /** The mapping-independent profiles of all rows of the given class,
-    * localCheckpointed (the cached table-label pairs of PHI are released
-    * once the checkpoint holds them).
+  /** The mapping-independent profiles of all rows of the given class, from
+    * one pass per table over its cells and row candidates, with PHI mapped
+    * on from the class's `(tableId, normLabel)` pairs; localCheckpointed.
     *
     * @param rowCands  candidates from TableClassMatcher (tableId,rowId,uri,cls,labelSim)
     */
   def base(spark: SparkSession, cls: String, cells: DataFrame, labelCols: DataFrame,
            classTables: DataFrame, rowCands: DataFrame, kb: KnowledgeBase): Dataset[RowBase] = {
     import spark.implicits._
-
-    val clsCells = cells.join(classTables.select($"tableId"), "tableId")
-
-    // ---- core: label, tokens and raw cells per row -------------------------
-    val labelColB = spark.sparkContext.broadcast(
-      labelCols.collect().map(r => r.getLong(0) -> r.getInt(1)).toMap)
-    val core = clsCells
-      .groupBy($"tableId", $"rowId")
-      .agg(collect_list(struct($"colId", $"raw")) as "cs")
-      .as[(Long, Int, Seq[(Int, String)])]
-      .map { case (tableId, rowId, cs) =>
-        val labelCol = labelColB.value.getOrElse(tableId, 0)
-        val label = cs.find(_._1 == labelCol).map(_._2).getOrElse("")
-        val tokens = cs.flatMap(c => TextSim.tokenize(c._2)).distinct.sorted
-        (Keys.rowKey(tableId, rowId), tableId, label, Values.normalize(label), tokens, cs)
-      }.toDF("rowKey", "tableId", "label", "normLabel", "tokens", "cells")
-
-    // ---- PHI: label correlation vectors, averaged per table ---------------
-    val labelIds = core.select($"normLabel").distinct()
-      .withColumn("labelId", monotonically_increasing_id())
-    val tl = core.join(labelIds, "normLabel")
-      .select($"tableId", $"labelId").distinct().cache()
-    val nLabels = labelIds.count().toDouble
-    val na = tl.groupBy($"labelId").agg(count(lit(1)) as "na")
-    val pairs = tl.as("x").join(tl.as("y"), col("x.tableId") === col("y.tableId"))
-      .filter(col("x.labelId") =!= col("y.labelId"))
-      .groupBy(col("x.labelId") as "l1", col("y.labelId") as "l2")
-      .agg(count(lit(1)) as "nab")
-    val phiOf = udf((nab: Long, na1: Long, na2: Long) => {
-      val n = nLabels
-      val denom = math.sqrt(na1.toDouble * na2 * (n - na1) * (n - na2))
-      if (denom == 0.0) 0.0 else (n * nab - na1.toDouble * na2) / denom
-    })
-    val labelVecs = pairs
-      .join(na.withColumnRenamed("labelId", "l1").withColumnRenamed("na", "na1"), "l1")
-      .join(na.withColumnRenamed("labelId", "l2").withColumnRenamed("na", "na2"), "l2")
-      .withColumn("phi", phiOf($"nab", $"na1", $"na2"))
-      .groupBy($"l1").agg(map_from_entries(collect_list(struct($"l2", $"phi"))) as "vec")
-    // collect_list drops null vectors (labels without co-occurrences); the
-    // denominator stays the table's label count, as the paper averages the
-    // vectors of all row labels.
-    val avgVecs = udf((vecs: Seq[Map[Long, Double]], nLabels: Long) => {
-      val acc = scala.collection.mutable.Map.empty[Long, Double]
-      vecs.foreach(_.foreach { case (k, v) => acc(k) = acc.getOrElse(k, 0.0) + v })
-      val m = math.max(1L, nLabels).toDouble
-      acc.toSeq.map { case (k, v) => k -> v / m }
-        .sortBy { case (k, v) => (-math.abs(v), k) }.take(phiCap).toMap
-    })
-    val tablePhi = tl.join(labelVecs, tl("labelId") === labelVecs("l1"), "left")
-      .groupBy($"tableId")
-      .agg(count(lit(1)) as "nLabels", collect_list($"vec") as "vecs")
-      .select($"tableId", avgVecs($"vecs", $"nLabels") as "phi")
-
-    // ---- implicit attributes per table ------------------------------------
+    val sc = spark.sparkContext
+    val tables = classTables.select($"tableId").as[Long].collect().toSet
+    val labelColB = sc.broadcast(labelCols.select($"tableId", $"labelColId").as[(Long, Int)]
+      .filter(t => tables(t._1)).collect().toMap)
     val factIndexB = kb.factIndexB
-    val rowCombos = rowCands
-      .join(classTables.select($"tableId"), "tableId")
-      .select($"tableId", $"rowId", $"uri")
-      .as[(Long, Int, String)]
-      .flatMap { case (t, r, uri) =>
-        factIndexB.value.getOrElse(uri, Map.empty[String, String]).map { case (p, v) =>
-          (t, r, p + Sep + Values.normalize(v))
-        }
-      }.distinct().toDF("tableId", "rowId", "combo")
-    val rowsPerTable = core.groupBy($"tableId").agg(count(lit(1)) as "nRows")
-    val tableImplicit = rowCombos
-      .groupBy($"tableId", $"combo").agg(countDistinct($"rowId") as "cnt")
-      .join(rowsPerTable, "tableId")
-      .withColumn("score", $"cnt" / $"nRows")
-      .filter($"score" >= implicitThreshold)
-      .groupBy($"tableId")
-      .agg(map_from_entries(collect_list(struct($"combo", $"score"))) as "implicitAtts")
+    val tableCells = cells.select($"tableId", $"rowId", $"colId", $"raw")
+      .as[(Long, Int, Int, String)].filter(c => tables(c._1)).groupByKey(_._1)
+    val tableCands = rowCands.select($"tableId", $"rowId", $"uri")
+      .as[(Long, Int, String)].filter(c => tables(c._1)).groupByKey(_._1)
+    val rows = tableCells.cogroup(tableCands) { (tableId, cs, cands) =>
+      val byRow = cs.toSeq.groupMap(_._2)(c => (c._3, c._4))
+      // (rowId, combo) pairs, each once; mapped from a Seq, as a Map would
+      // keep one combo per row
+      val combos = cands.toSeq.flatMap { case (_, rowId, uri) =>
+        factIndexB.value.getOrElse(uri, Map.empty[String, String]).toSeq
+          .map { case (p, v) => (rowId, p + Sep + Values.normalize(v)) }
+      }.distinct
+      val implicitAtts = combos.groupMapReduce(_._2)(_ => 1)(_ + _).toSeq.sorted
+        .map { case (combo, n) => combo -> n.toDouble / byRow.size }
+        .filter(_._2 >= implicitThreshold).toMap
+      val labelCol = labelColB.value.getOrElse(tableId, 0)
+      byRow.toSeq.sortBy(_._1).iterator.map { case (rowId, unsorted) =>
+        val rowCells = unsorted.sortBy(_._1)
+        val label = rowCells.find(_._1 == labelCol).map(_._2).getOrElse("")
+        RowBase(Keys.rowKey(tableId, rowId), tableId, cls, label, Values.normalize(label),
+                rowCells.flatMap(c => TextSim.tokenize(c._2)).distinct.sorted,
+                Map.empty, implicitAtts, rowCells)
+      }
+    }.localCheckpoint()
+    val phiB = sc.broadcast(
+      tablePhi(rows.select($"tableId", $"normLabel").as[(Long, String)].collect().toSeq))
+    rows.map(r => r.copy(phi = phiB.value.getOrElse(r.tableId, Map.empty))).localCheckpoint()
+  }
 
-    val rowBase = core
-      .join(tablePhi, Seq("tableId"), "left")
-      .join(tableImplicit, Seq("tableId"), "left")
-      .select($"rowKey", $"tableId", lit(cls) as "cls", $"label", $"normLabel",
-              $"tokens",
-              coalesce($"phi", typedLit(Map.empty[Long, Double])) as "phi",
-              coalesce($"implicitAtts", typedLit(Map.empty[String, Double])) as "implicitAtts",
-              $"cells")
-      .as[RowBase]
-      .localCheckpoint()
-    tl.unpersist()
-    rowBase
+  /** PHI label-correlation vectors per table from the `(tableId,
+    * normLabel)` pairs of a class. For labels a != b sharing a table,
+    * phi(a, b) = (n nab - na nb) / sqrt(na nb (n - na) (n - nb)), where `n`
+    * counts the distinct labels and `na`, `nb`, `nab` the tables holding a,
+    * b, both. A table's vector is the sum of its labels' vectors over its
+    * label count, keeping the `phiCap` entries of largest magnitude, ties to
+    * the smaller id. A label's id is its rank in sorted label order.
+    */
+  def tablePhi(tableLabels: Seq[(Long, String)]): Map[Long, Map[Long, Double]] = {
+    val labelId = tableLabels.map(_._2).distinct.sorted.zipWithIndex.toMap
+    val n = labelId.size.toDouble
+    val byTable = tableLabels.distinct.groupMap(_._1)(tl => labelId(tl._2).toLong)
+      .map { case (t, ids) => t -> ids.sorted }
+    val na = byTable.values.flatten.groupMapReduce(identity)(_ => 1L)(_ + _)
+    val nab = byTable.values.toSeq.flatMap(ids => for (a <- ids; b <- ids if a != b) yield (a, b))
+      .groupMapReduce(identity)(_ => 1L)(_ + _)
+    val vecs = nab.toSeq.groupMap(_._1._1) { case ((a, b), nAB) =>
+      val denom = math.sqrt(na(a).toDouble * na(b) * (n - na(a)) * (n - na(b)))
+      b -> (if (denom == 0.0) 0.0 else (n * nAB - na(a).toDouble * na(b)) / denom)
+    }
+    byTable.map { case (t, ids) =>
+      // summed in label-id order
+      val sum = ids.flatMap(vecs.getOrElse(_, Nil)).groupMapReduce(_._1)(_._2)(_ + _)
+      t -> sum.toSeq.map { case (k, v) => k -> v / ids.size }
+        .sortBy { case (k, v) => (-math.abs(v), k) }.take(phiCap).toMap
+    }
   }
 
   /** Profiles under one schema mapping: a narrow map over the base that

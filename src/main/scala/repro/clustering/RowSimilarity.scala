@@ -25,11 +25,12 @@ object RowSimilarity extends MetricVector {
     f(2) = TextSim.cosineSparse(a.phi, b.phi)
     attribute(a.values, b.values, schema, f, 3)
     // each row's table-level combos are compared with the other row's mapped
-    // value, else with the implicit value of the other row's table
+    // value, else with the implicit value of the other row's table: the
+    // combo of highest score, ties to the smallest combo
     def valueOf(y: RowProfile): String => Option[String] = p =>
       y.values.get(p).orElse {
-        y.implicitAtts.keysIterator.find(_.startsWith(p + RowProfiles.Sep))
-          .map(_.substring(p.length + 1))
+        y.implicitAtts.iterator.filter(_._1.startsWith(p + RowProfiles.Sep))
+          .minByOption { case (combo, score) => (-score, combo) }.map(_._1.substring(p.length + 1))
       }
     implicitAtt(Seq(a.implicitAtts -> valueOf(b), b.implicitAtts -> valueOf(a)), schema, f, 5)
     f(7) = if (a.tableId == b.tableId) 0.0 else 1.0

@@ -84,8 +84,6 @@ object AttributeMatcher {
         case Some((y, _, _)) => if (y >= profile.lo && y <= profile.hi) 1.0 else 0.0
         case None            => 0.0
       }
-    case "nominalInt" =>
-      if (profile.values.contains(Values.normalize(raw))) 1.0 else 0.0
     case _ =>
       if (profile.values.contains(Values.normalize(raw))) 1.0 else 0.0
   }

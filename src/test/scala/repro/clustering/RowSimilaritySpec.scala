@@ -62,6 +62,21 @@ class RowSimilaritySpec extends AnyFunSuite {
     val f = RowSimilarity.features(a, b, schema)
     assert(f(5) == 0.0 && f(6) > 0.0) // compared but unequal
   }
+  test("IMPLICIT_ATT: of two combos for one property the highest score counts, in any map order") {
+    val a = prof(1, 1, "x", impl = Map("genre|rock" -> 0.25))
+    def b(combos: Seq[(String, Double)]) = prof(2, 2, "x", impl = combos.toMap)
+    // a higher score, then a tie resolved to the smaller combo ("genre|jazz")
+    Seq(Seq("genre|jazz" -> 0.5, "genre|rock" -> 0.75), Seq("genre|jazz" -> 0.5, "genre|rock" -> 0.5))
+      .foreach { combos =>
+        val f1 = RowSimilarity.features(a, b(combos), schema)
+        val f2 = RowSimilarity.features(a, b(combos.reverse), schema)
+        assert(f1.toSeq == f2.toSeq, combos)
+      }
+    val higher = RowSimilarity.features(a, b(Seq("genre|jazz" -> 0.5, "genre|rock" -> 0.75)), schema)
+    assert(higher(5) == (0.25 + 0.75) / 1.5)
+    val tie = RowSimilarity.features(a, b(Seq("genre|rock" -> 0.5, "genre|jazz" -> 0.5)), schema)
+    assert(tie(5) == 0.5 / 1.25)
+  }
   test("SAME_TABLE is 0 within a table, 1 across tables") {
     assert(RowSimilarity.features(prof(1, 5, "x"), prof(2, 5, "y"), schema)(7) == 0.0)
     assert(RowSimilarity.features(prof(1, 5, "x"), prof(2, 6, "y"), schema)(7) == 1.0)

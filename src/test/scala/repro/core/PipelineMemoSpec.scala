@@ -34,11 +34,7 @@ class PipelineMemoSpec extends SparkSpec {
     val fresh = freshDS.collect().map(p => p.rowKey -> p).toMap
     assert(memo.nonEmpty)
     assert(memo.map(_.rowKey).toSet == fresh.keySet)
-    // PHI is compared through the pair features: its label ids are generated
-    memo.foreach { p =>
-      assert(p.copy(phi = Map.empty) == fresh(p.rowKey).copy(phi = Map.empty), s"row ${p.rowKey}")
-      assert(p.phi.size == fresh(p.rowKey).phi.size, s"row ${p.rowKey}")
-    }
+    memo.foreach(p => assert(p == fresh(p.rowKey), s"row ${p.rowKey}"))
   }
 
   test("profile values follow the mapping asked for") {
